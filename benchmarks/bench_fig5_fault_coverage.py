@@ -12,13 +12,10 @@ logically-redundant bridges the hand layout did not have); the *shape* --
 steep rise once the oscillator has started, long plateau afterwards -- is
 what the assertions check.
 
-Since the streaming-engine PR the benchmark also validates that engine
-(see ``docs/campaigns.md``): the timed campaign runs with observed-node
-streaming + the shared-memory nominal + a checkpoint, a reference campaign
-runs the legacy full-trace/pickled-nominal path, and the two must agree
-verdict for verdict while the telemetry table shows the measured IPC and
-trace-memory win.  A second, checkpoint-resumed campaign must reproduce
-the coverage number while re-simulating nothing.
+The timed campaign runs on a two-process pool with the shared-memory
+nominal and a checkpoint (see ``docs/campaigns.md``); a second,
+checkpoint-resumed campaign must reproduce the coverage number while
+re-simulating nothing.
 
 Since the adaptive-campaign PR it also runs the whole campaign under the
 calibrated variable-order BDF integrator (serial and batched) and holds
@@ -64,25 +61,19 @@ def _timed_preflight(circuit, faults, settings):
 
 
 def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
-                             record_json, smoke, fault_budget,
-                             campaign_engine, tmp_path):
+                             record_json, smoke, fault_budget, tmp_path):
     circuit, _layout = vco_pair
     faults = cat_extraction.realistic_faults
     if fault_budget is not None:
         faults = faults.top(fault_budget)
 
-    base_settings = CampaignSettings(
+    settings = CampaignSettings(
         tstop=4e-6, tstep=1e-8, use_ic=True,
         observation_nodes=(OUTPUT_NODE,),
-        tolerances=ToleranceSettings(amplitude=2.0, time=0.2e-6),
-        **campaign_engine)
-    streaming_settings = replace(base_settings, stream_traces=True,
-                                 use_shared_memory=True)
-    legacy_settings = replace(base_settings, stream_traces=False,
-                              use_shared_memory=False)
+        tolerances=ToleranceSettings(amplitude=2.0, time=0.2e-6))
     checkpoint = tmp_path / "fig5_campaign.jsonl"
 
-    simulator = FaultSimulator(circuit, faults, streaming_settings)
+    simulator = FaultSimulator(circuit, faults, settings)
     campaign_wall = {}
 
     def _timed_run():
@@ -102,28 +93,16 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
         #    is detected in the first ~60 % of the test time (the paper's
         #    "all faults detected after approximately 55 %").
         assert final > 0.6
-        assert coverage.coverage_at(0.6 * streaming_settings.tstop) >= 0.9 * final
+        assert coverage.coverage_at(0.6 * settings.tstop) >= 0.9 * final
         # Most detections happen early (steep initial rise after the
         # oscillator start-up, cf. "after 25 % of test time the fault
         # coverage almost reaches 100 %").
-        assert coverage.coverage_at(0.45 * streaming_settings.tstop) >= 0.7 * final
-
-    # ------------------------------------------------------------------
-    # Engine validation: the legacy full-trace path must agree verdict for
-    # verdict -- streaming changes memory and IPC cost, never physics.
-    legacy = FaultSimulator(circuit, faults, legacy_settings).run(executor=PoolExecutor(2))
-    assert ([r.fault.fault_id for r in result.records]
-            == [r.fault.fault_id for r in legacy.records])
-    assert ([r.status for r in result.records]
-            == [r.status for r in legacy.records])
-    assert ([r.detection_time for r in result.records]
-            == [r.detection_time for r in legacy.records])
-    assert result.fault_coverage() == legacy.fault_coverage()
+        assert coverage.coverage_at(0.45 * settings.tstop) >= 0.7 * final
 
     # A checkpointed-then-resumed campaign reproduces the coverage number
     # without re-simulating a single fault.
-    resumed = FaultSimulator(circuit, faults, streaming_settings).run(
-        workers=2, checkpoint=checkpoint)
+    resumed = FaultSimulator(circuit, faults, settings).run(
+        executor=PoolExecutor(2), checkpoint=checkpoint)
     assert resumed.checkpoint_skipped == len(result.records)
     assert resumed.fault_coverage() == result.fault_coverage()
 
@@ -135,10 +114,10 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
     shard_paths = []
     for index in range(2):
         shard_paths.append(tmp_path / f"fig5_shard{index}.jsonl")
-        FaultSimulator(circuit, faults, streaming_settings).run(
+        FaultSimulator(circuit, faults, settings).run(
             executor=ShardExecutor(shard_index=index, shard_count=2,
                                    path=shard_paths[index], workers=2))
-    merged = merge_shards(circuit, faults, streaming_settings, shard_paths,
+    merged = merge_shards(circuit, faults, settings, shard_paths,
                           require_complete=True)
     assert ([r.fault.fault_id for r in merged.records]
             == [r.fault.fault_id for r in result.records])
@@ -159,11 +138,11 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
     from repro.anafault import BatchedExecutor, SerialExecutor
 
     serial_start = time.perf_counter()
-    serial_run = FaultSimulator(circuit, faults, streaming_settings).run(
+    serial_run = FaultSimulator(circuit, faults, settings).run(
         executor=SerialExecutor())
     serial_seconds = time.perf_counter() - serial_start
     batched_start = time.perf_counter()
-    batched_run = FaultSimulator(circuit, faults, streaming_settings).run(
+    batched_run = FaultSimulator(circuit, faults, settings).run(
         executor=BatchedExecutor(batch_width=8, early_abort=True))
     batched_seconds = time.perf_counter() - batched_start
     assert ([(r.fault.fault_id, r.status, r.detection_time)
@@ -196,7 +175,7 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
     # is the integration artifact, and the Newton-solve saving is
     # measured against that same reference — the fixed grid of matched
     # (converged) accuracy.
-    adaptive_settings = replace(streaming_settings,
+    adaptive_settings = replace(settings,
                                 timestep=ADAPTIVE_TIMESTEP)
     calibration = calibrate_tolerance(circuit, faults, adaptive_settings,
                                       probes=min(8, len(faults)))
@@ -212,7 +191,7 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
         executor=BatchedExecutor(batch_width=8))
 
     reference_tstep = 2.5e-9 if smoke else 1.25e-9
-    reference_settings = replace(streaming_settings, tstep=reference_tstep)
+    reference_settings = replace(settings, tstep=reference_tstep)
     reference = FaultSimulator(circuit, faults, reference_settings).run(
         executor=PoolExecutor(2))
 
@@ -237,7 +216,7 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
                 and fixed_record.detection_time is not None
                 and abs(adaptive_record.detection_time
                         - fixed_record.detection_time)
-                    > streaming_settings.tolerances.time):
+                    > settings.tolerances.time):
             # The paper grid's detection *time* is only binding where the
             # converged reference reproduces it: a phase-drift detection
             # crosses the threshold at a grid-dependent moment, and on
@@ -248,7 +227,7 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
                 reference_record.detection_time is not None
                 and abs(reference_record.detection_time
                         - fixed_record.detection_time)
-                    <= streaming_settings.tolerances.time)
+                    <= settings.tolerances.time)
             assert not reference_agrees_with_fixed, (
                 f"fault #{fixed_record.fault.fault_id}: adaptive detects "
                 f"at {adaptive_record.detection_time:g}s but the paper "
@@ -291,7 +270,7 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
     from repro.errors import ConvergenceError, FaultInjectionError, \
         SingularMatrixError
 
-    worker = FaultSimulator.for_worker(circuit, streaming_settings)
+    worker = FaultSimulator.for_worker(circuit, settings)
     nominal_wave = result.nominal[OUTPUT_NODE]
     batch_faults, batch_waves = [], []
     for fault in faults:
@@ -305,7 +284,7 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
         batch_faults.append(fault)
         batch_waves.append(waveforms[OUTPUT_NODE])
     assert batch_waves, "no cleanly simulating fault to cross-check"
-    comparator = WaveformComparator(streaming_settings.tolerances)
+    comparator = WaveformComparator(settings.tolerances)
     batch = comparator.compare_batch(nominal_wave, batch_waves,
                                      signal=OUTPUT_NODE)
     for fault, verdict in zip(batch_faults, batch):
@@ -332,7 +311,7 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
     generated_universe = len(generated)
     if fault_budget is not None:
         generated = generated.top(fault_budget)
-    generated_run = FaultSimulator(circuit, generated, streaming_settings).run(
+    generated_run = FaultSimulator(circuit, generated, settings).run(
         executor=PoolExecutor(2))
     generated_weighted = generated_run.coverage().final_weighted_coverage()
     # The importance-sampled estimate over the same generated universe must
@@ -350,38 +329,16 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
     # in the noise next to the transient sweep it protects -- under 1 % of
     # the campaign wall time even on this, the paper's largest campaign.
     preflight_seconds = min(
-        _timed_preflight(circuit, faults, streaming_settings)
+        _timed_preflight(circuit, faults, settings)
         for _ in range(3))
     assert simulator.settings.preflight != "off"
     assert preflight_seconds < 0.01 * campaign_wall["seconds"], (
         f"preflight took {preflight_seconds:.3f}s against a "
         f"{campaign_wall['seconds']:.1f}s campaign")
 
-    # The measured streaming win: the shared-memory nominal costs each
-    # worker a tiny fraction of the pickled-copy payload, and the per-fault
-    # trace allocation shrinks to the observed nodes.
-    streaming_telemetry = result.telemetry()
-    legacy_telemetry = legacy.telemetry()
-    assert streaming_telemetry["nominal_store"] == "shared_memory"
-    assert legacy_telemetry["nominal_store"] == "inline"
-    assert (streaming_telemetry["nominal_ipc_bytes"]
-            < legacy_telemetry["nominal_ipc_bytes"] / 5)
-    assert (streaming_telemetry["trace_bytes_max"]
-            < legacy_telemetry["trace_bytes_max"])
+    # The pool reads the nominal from one shared-memory segment.
+    assert result.telemetry()["nominal_store"] == "shared_memory"
 
-    def _column(key, fmt="{:,}"):
-        return (fmt.format(streaming_telemetry[key]),
-                fmt.format(legacy_telemetry[key]))
-
-    telemetry_rows = [
-        ("nominal store", streaming_telemetry["nominal_store"],
-         legacy_telemetry["nominal_store"]),
-        ("nominal IPC payload / worker [B]", *_column("nominal_ipc_bytes")),
-        ("record IPC payload total [B]", *_column("record_ipc_bytes_total")),
-        ("trace bytes / fault (max) [B]", *_column("trace_bytes_max")),
-        ("fault coverage", f"{result.fault_coverage():.1%}",
-         f"{legacy.fault_coverage():.1%}"),
-    ]
     lines = [
         "Fig. 5  fault coverage vs time (2 V amplitude, 0.2 us time tolerance)",
         "",
@@ -390,8 +347,8 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
         coverage_plot(result),
         "",
         "paper: ~100 % coverage after ~25 % of test time, all faults after ~55 %",
-        f"ours : {coverage.coverage_at(0.25 * streaming_settings.tstop):.0%} after 25 %, "
-        f"{coverage.coverage_at(0.55 * streaming_settings.tstop):.0%} after 55 %, "
+        f"ours : {coverage.coverage_at(0.25 * settings.tstop):.0%} after 25 %, "
+        f"{coverage.coverage_at(0.55 * settings.tstop):.0%} after 55 %, "
         f"final {final:.0%} "
         "(undetected remainder: floating-gate opens and logically redundant bridges)",
         "",
@@ -409,14 +366,6 @@ def test_fig5_fault_coverage(benchmark, vco_pair, cat_extraction, record,
         f"sampled estimate (faultgen): {generated_estimate.summary()} — "
         "brackets the exhaustive weighted coverage (asserted)",
         "",
-        "memory / IPC telemetry  (identical verdicts on every fault)",
-        f"{'':<34}{'streaming engine':>18}{'full-trace path':>18}",
-        "-" * 70,
-    ]
-    lines += [f"{label:<34}{streaming_value:>18}{legacy_value:>18}"
-              for label, streaming_value, legacy_value in telemetry_rows]
-    lines += [
-        "-" * 70,
         f"checkpoint resume: {resumed.checkpoint_skipped} records reloaded, "
         f"0 re-simulated, coverage {resumed.fault_coverage():.1%} "
         "(identical to the straight-through run)",

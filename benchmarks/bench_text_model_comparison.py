@@ -21,7 +21,7 @@ FAULT_COUNT = 25
 
 
 def test_text_model_comparison(benchmark, vco_pair, cat_extraction, record,
-                               fault_budget, campaign_engine):
+                               fault_budget):
     circuit, _layout = vco_pair
     fault_count = (FAULT_COUNT if fault_budget is None
                    else min(FAULT_COUNT, fault_budget))
@@ -35,7 +35,7 @@ def test_text_model_comparison(benchmark, vco_pair, cat_extraction, record,
                 tstop=4e-6, tstep=1e-8, use_ic=True,
                 observation_nodes=(OUTPUT_NODE,),
                 tolerances=ToleranceSettings(2.0, 0.2e-6),
-                fault_model=model, **campaign_engine)
+                fault_model=model)
             results[name] = FaultSimulator(circuit, faults, settings).run(executor=PoolExecutor(2))
         return results
 

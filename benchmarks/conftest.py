@@ -13,13 +13,6 @@ Benchmarks read the :func:`smoke` and :func:`fault_budget` fixtures; in
 smoke mode the figure-level assertions that need the full fault list are
 relaxed (the run still exercises the whole pipeline and writes the results
 artefacts).
-
-The smoke run is also a *streaming-on* configuration: the campaign
-benchmarks build their :class:`~repro.anafault.CampaignSettings` from the
-:func:`campaign_engine` fixture, which in smoke mode pins observed-node
-streaming and the shared-memory nominal store **on** (regardless of the
-library defaults) so the streaming engine of ``docs/campaigns.md`` is
-exercised end-to-end by every CI smoke pass.
 """
 
 from __future__ import annotations
@@ -55,20 +48,6 @@ def fault_budget() -> int | None:
     """Maximum number of faults a campaign benchmark may simulate
     (``None`` = unlimited)."""
     return SMOKE_FAULT_BUDGET if BENCH_SMOKE else None
-
-
-@pytest.fixture(scope="session")
-def campaign_engine() -> dict:
-    """``CampaignSettings`` keyword overrides for the campaign benchmarks.
-
-    In smoke mode the streaming engine is forced on explicitly (observed-
-    node streaming + shared-memory nominal) so the new campaign path runs
-    in every CI smoke pass even if the library defaults change; the full
-    benchmark run simply takes the library defaults.
-    """
-    if BENCH_SMOKE:
-        return {"stream_traces": True, "use_shared_memory": True}
-    return {}
 
 
 @pytest.fixture(scope="session")

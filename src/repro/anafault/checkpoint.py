@@ -45,14 +45,6 @@ RECORD_FIELDS = ("status", "detection_time", "detected_on", "max_deviation",
                  "newton_iterations", "steps_accepted", "steps_rejected",
                  "trace_bytes", "attempt", "order_histogram")
 
-#: Settings fields excluded from the fingerprint: they configure how the
-#: engine spends memory and IPC, never what is simulated, so toggling them
-#: (e.g. resuming with shared memory off after a /dev/shm problem) must not
-#: orphan a checkpoint.
-VERDICT_NEUTRAL_SETTINGS = ("stream_traces", "use_shared_memory",
-                            "tail_downsample")
-
-
 def _legacy_neutral_defaults() -> dict:
     """Settings fields that are omitted from the fingerprint while they
     hold their default value.
@@ -78,9 +70,9 @@ def _legacy_neutral_defaults() -> dict:
 
 
 def _settings_text(settings) -> str:
-    """Deterministic settings serialisation for fingerprinting, with the
-    verdict-neutral engine knobs left out and later-added fields omitted
-    while they hold their (behaviour-preserving) defaults."""
+    """Deterministic settings serialisation for fingerprinting, with
+    later-added fields omitted while they hold their (behaviour-preserving)
+    defaults."""
     try:
         fields = dataclasses.fields(settings)
     except TypeError:  # not a dataclass; fall back to the full repr
@@ -88,8 +80,6 @@ def _settings_text(settings) -> str:
     defaults = _legacy_neutral_defaults()
     parts = []
     for f in fields:
-        if f.name in VERDICT_NEUTRAL_SETTINGS:
-            continue
         value = getattr(settings, f.name)
         if f.name in defaults and value == defaults[f.name]:
             continue
@@ -106,9 +96,7 @@ def campaign_fingerprint(circuit: Circuit, fault_list: FaultList,
     any change to what would be simulated (different netlist, reordered or
     re-weighted faults, other tolerances or transient length) yields a
     different fingerprint, and a checkpoint keyed on the old one refuses
-    to resume.  The engine-only switches (:data:`VERDICT_NEUTRAL_SETTINGS`)
-    are excluded: they change memory/IPC cost, never verdicts, so a
-    checkpoint survives toggling them.
+    to resume.
     """
     digest = hashlib.sha256()
     for part in (write_netlist(circuit), fault_list.dumps(),

@@ -324,8 +324,7 @@ def _cmd_run(args, out) -> int:
         raise ReproError("--early-abort needs --batch-width: only the "
                          "batched executor streams verdicts")
     else:
-        # None keeps the defaultable serial path (REPRO_FORCE_BATCHED);
-        # the deprecated run(workers=) spelling is for external callers.
+        # None keeps the defaultable serial path (REPRO_FORCE_BATCHED).
         executor = PoolExecutor(args.workers) if args.workers > 1 else None
         result = simulator.run(executor=executor,
                                checkpoint=args.checkpoint)

@@ -179,9 +179,6 @@ class ExecutionInfo:
     #: Fault variants stopped early because their verdict was already
     #: decided (``BatchedExecutor(early_abort=True)`` only).
     early_aborted: int = 0
-    #: Linear solves served by a shared (nominal/block-diagonal)
-    #: factorisation (``BatchedExecutor(numerics="shared")`` only).
-    solves_shared: int = 0
     #: Scheduler-daemon counters and per-worker throughput of a
     #: :class:`~repro.anafault.remote.RemoteExecutor` run (empty for the
     #: local executors); copied onto ``CampaignResult.service``.
@@ -233,9 +230,8 @@ class PoolExecutor:
 
     Behaviour-preserving absorption of the old parallel branch of
     ``FaultSimulator.run``: the nominal waveforms are published once
-    (shared memory with an inline fallback, honouring
-    ``CampaignSettings.use_shared_memory`` — see
-    :mod:`repro.anafault.streaming`), the faults travel in chunked batches
+    (shared memory, with an inline fallback where the platform has none —
+    see :mod:`repro.anafault.streaming`), the faults travel in chunked batches
     through :func:`repro.anafault.parallel.iter_faults_parallel`, and the
     records come back in plan order as they complete.  With one worker —
     or at most one pending fault — everything runs in-process and no pool
@@ -256,17 +252,15 @@ class PoolExecutor:
         from .parallel import iter_faults_parallel
         from .streaming import publish_nominal
 
-        settings = simulator.settings
         info = ExecutionInfo(executor=self.name,
                              workers=min(self.workers, len(pending)))
-        store = publish_nominal(
-            nominal, shared=getattr(settings, "use_shared_memory", True))
+        store = publish_nominal(nominal)
         try:
             info.nominal_store = store.kind
             info.nominal_ipc_bytes = store.payload_bytes()
             stream = iter_faults_parallel(
                 simulator.circuit, [plan.faults[i] for i in pending],
-                settings, store, self.workers)
+                simulator.settings, store, self.workers)
             try:
                 for index, record in zip(pending, stream):
                     emit(index, record)
@@ -295,19 +289,13 @@ class BatchedExecutor:
     ``max_deviation``, step counters, ``trace_bytes`` — is identical to a
     :class:`SerialExecutor` run of the same campaign (lockstep reorders
     which variant computes next, never what it computes; the differential
-    suite in ``tests/test_batched.py`` locks this down).  Two opt-in
-    levers trade parts of that identity for throughput:
-
-    * ``early_abort=True`` stops a variant the moment its verdict is
-      decided.  Verdict, detection time and detected signal are provably
-      unchanged (the persistence run that fired cannot unfire); the
-      reported ``max_deviation`` and step counters then cover only the
-      simulated prefix.
-    * ``numerics="shared"`` serves the linear sub-steps of eligible
-      variants from shared factorisations (nominal LU + Woodbury low-rank
-      update, or one block-diagonal factorisation per variant group, see
-      ``docs/batching.md``).  Float-exact in theory, not bit-exact;
-      verified at verdict level.
+    suite in ``tests/test_batched.py`` locks this down).  One opt-in
+    lever trades part of that identity for throughput:
+    ``early_abort=True`` stops a variant the moment its verdict is
+    decided.  Verdict, detection time and detected signal are provably
+    unchanged (the persistence run that fired cannot unfire); the
+    reported ``max_deviation`` and step counters then cover only the
+    simulated prefix.
 
     A variant that fails to converge mid-batch (including
     ``SingularMatrixError`` and the ``dt_min`` floor) is evicted to the
@@ -324,20 +312,11 @@ class BatchedExecutor:
 
     name = "batched"
 
-    def __init__(self, batch_width: int = 8, early_abort: bool = False,
-                 numerics: str = "exact", max_shared_rank: int = 4):
-        from ..spice.analysis.batched import NUMERICS_MODES
-
+    def __init__(self, batch_width: int = 8, early_abort: bool = False):
         if int(batch_width) < 1:
             raise CampaignError("batch_width must be >= 1")
-        if numerics not in NUMERICS_MODES:
-            raise CampaignError(
-                f"unknown batched numerics mode {numerics!r} "
-                f"(choose from {NUMERICS_MODES})")
         self.batch_width = int(batch_width)
         self.early_abort = bool(early_abort)
-        self.numerics = numerics
-        self.max_shared_rank = int(max_shared_rank)
 
     def execute(self, simulator, plan: CampaignPlan, nominal: dict,
                 emit: EmitCallback) -> ExecutionInfo:
@@ -374,11 +353,7 @@ class BatchedExecutor:
 
         if variants:
             kernel_start = _time.perf_counter()
-            batch = BatchedTransient(
-                analyses, numerics=self.numerics,
-                nominal_circuit=(simulator.circuit
-                                 if self.numerics == "shared" else None),
-                max_shared_rank=self.max_shared_rank)
+            batch = BatchedTransient(analyses)
             batch.begin()
             detectors: dict[int, StreamingDetector] = {}
             columns: dict[int, dict] = {}
@@ -405,7 +380,6 @@ class BatchedExecutor:
 
             batch.run(observe)
             share = (_time.perf_counter() - kernel_start) / len(variants)
-            info.solves_shared += batch.solves_shared
             info.early_aborted += len(batch.aborted)
 
             for position, (index, fault, injection_elapsed) in \

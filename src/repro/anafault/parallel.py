@@ -54,26 +54,19 @@ def campaign_chunksize(num_faults: int, workers: int) -> int:
     return max(1, num_faults // (workers * BATCHES_PER_WORKER))
 
 
-def _resolve_nominal(nominal) -> dict:
-    """Waveform dict from either a nominal store or a plain dict."""
-    if hasattr(nominal, "waveforms"):
-        return nominal.waveforms()
-    return nominal
-
-
 def _init_worker(circuit: Circuit, settings, nominal) -> None:
     """Process-pool initialiser: build one simulator per worker process.
 
-    ``nominal`` is either a :class:`~repro.anafault.streaming.NominalStore`
-    (the worker attaches to the shared segment — the store reference is
-    kept in the worker state so the mapping stays alive as long as the
-    waveform views do) or a plain waveform dict (inline fallback).
+    ``nominal`` is a published nominal store; a
+    :class:`~repro.anafault.streaming.NominalStore` attaches to the shared
+    segment, and the store reference is kept in the worker state so the
+    mapping stays alive as long as the waveform views do.
     """
     from .simulator import FaultSimulator
 
     _WORKER_STATE["simulator"] = FaultSimulator.for_worker(circuit, settings)
     _WORKER_STATE["store"] = nominal
-    _WORKER_STATE["nominal"] = _resolve_nominal(nominal)
+    _WORKER_STATE["nominal"] = nominal.waveforms()
 
 
 def _simulate_one(fault: Fault):
@@ -92,50 +85,14 @@ def iter_faults_parallel(circuit: Circuit, faults: list[Fault], settings,
     """Simulate ``faults`` on a process pool, yielding the records in the
     original fault order as the workers complete them.
 
-    ``nominal`` may be a plain waveform dict or a published nominal store
-    (:func:`repro.anafault.streaming.publish_nominal`); a store is *not*
-    disposed here — its publisher keeps that responsibility.  With
-    ``workers <= 1`` (or a single fault) everything runs in-process and no
-    pool is started.
+    ``nominal`` is a published nominal store
+    (:func:`repro.anafault.streaming.publish_nominal`); it is *not*
+    disposed here — its publisher keeps that responsibility.  The only
+    caller, :class:`~repro.anafault.executors.PoolExecutor`, runs one
+    worker or one fault serially instead, so both are at least two here.
     """
-    if workers <= 1 or len(faults) <= 1:
-        from .simulator import FaultSimulator
-
-        simulator = FaultSimulator.for_worker(circuit, settings)
-        waveforms = _resolve_nominal(nominal)
-        for fault in faults:
-            yield simulator.simulate_fault(fault, waveforms)
-        return
     workers = min(workers, len(faults))
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(circuit, settings, nominal)) as pool:
         yield from pool.map(_simulate_one, faults,
                             chunksize=campaign_chunksize(len(faults), workers))
-
-
-def run_faults_parallel(circuit: Circuit, faults: list[Fault], settings,
-                        nominal, workers: int) -> list:
-    """Simulate ``faults`` on a process pool and return the records in the
-    original fault order.
-
-    Convenience wrapper over :func:`iter_faults_parallel`.  When handed a
-    plain waveform dict it publishes (and afterwards disposes) the
-    shared-memory nominal itself, honouring
-    ``settings.use_shared_memory``; pass a ready-made store to manage its
-    lifetime yourself.
-    """
-    store = nominal
-    owned = False
-    if (not hasattr(nominal, "waveforms")
-            and workers > 1 and len(faults) > 1):
-        from .streaming import publish_nominal
-
-        store = publish_nominal(
-            nominal, shared=getattr(settings, "use_shared_memory", True))
-        owned = True
-    try:
-        return list(iter_faults_parallel(circuit, faults, settings, store,
-                                         workers))
-    finally:
-        if owned:
-            store.dispose()

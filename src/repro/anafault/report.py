@@ -70,8 +70,7 @@ def format_overview(result: CampaignResult) -> str:
     lines.append(f"nominal CPU time     : {result.nominal_elapsed_seconds:.2f}s")
     lines.append(f"fault CPU time       : {sim_time:.2f}s")
     lines.append(f"total wall time      : {result.total_elapsed_seconds:.2f}s")
-    engine = "streaming" if telemetry["streaming"] else "full-trace"
-    lines.append(f"campaign engine      : {engine}, "
+    lines.append(f"campaign engine      : "
                  f"{telemetry['executor']} executor, "
                  f"{telemetry['workers']} worker(s), "
                  f"nominal via {telemetry['nominal_store']}")

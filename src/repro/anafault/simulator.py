@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import time as _time
-import warnings
 from dataclasses import dataclass, field, replace
 
 from ..errors import (CampaignError, ConvergenceError, PreflightError,
@@ -53,10 +52,10 @@ class CampaignSettings:
 campaign_fingerprint`) — two campaigns resume from the same checkpoint file
     only when their settings are identical.
 
-    The ``stream_traces`` / ``tail_downsample`` / ``use_shared_memory``
-    trio configures the streaming campaign engine (see
-    ``docs/campaigns.md``); the streaming switches change memory and IPC
-    cost, never verdicts.
+    Every campaign transient records only the ``observation_nodes`` (the
+    comparator never reads anything else), and parallel workers read the
+    nominal waveforms from one shared-memory segment where the platform
+    offers it — see ``docs/campaigns.md``.
     """
 
     #: Transient stop time [s] (paper: 4 us).
@@ -89,21 +88,6 @@ campaign_fingerprint`) — two campaigns resume from the same checkpoint file
     #: timestep options are part of the campaign fingerprint, so a
     #: checkpoint never silently mixes the two.
     timestep: TransientOptions = field(default_factory=TransientOptions)
-    #: Observed-node streaming: record only the ``observation_nodes``
-    #: traces in every campaign transient instead of the full
-    #: unknowns x time matrix (``TransientAnalysis(record_nodes=...)``).
-    #: The comparator only ever reads those nodes, so verdicts are
-    #: unaffected; worker trace memory drops proportionally.
-    stream_traces: bool = True
-    #: Opt-in reporting tail when streaming: > 0 additionally keeps *all*
-    #: node voltages at every Nth print point (plus the final one) for
-    #: post-mortem reporting.  0 (default) keeps only the observed nodes.
-    tail_downsample: int = 0
-    #: Publish the nominal waveforms to parallel workers through one
-    #: ``multiprocessing.shared_memory`` segment instead of pickling a copy
-    #: per worker; falls back to the pickled copy automatically where
-    #: shared memory is unavailable.
-    use_shared_memory: bool = True
     #: Campaign preflight mode (:data:`PREFLIGHT_MODES`): run the static
     #: analyzer (:mod:`repro.lint`) over the netlist and fault list before
     #: anything is simulated.  ``"warn"`` (the library default) records the
@@ -259,9 +243,6 @@ class CampaignResult:
     #: Fault variants the batched executor stopped early because their
     #: verdict was already decided (0 unless ``early_abort`` was on).
     early_aborted: int = 0
-    #: Linear solves served by a shared factorisation instead of a
-    #: per-variant one (0 unless batched ``numerics="shared"``).
-    solves_shared: int = 0
     #: Scheduler-daemon counters of a remotely executed campaign —
     #: ``leases_granted``/``leases_expired``/``retries``/``duplicates``
     #: and the per-worker throughput table (empty for local executors).
@@ -371,7 +352,6 @@ class CampaignResult:
             "executor": self.executor,
             "shard_index": self.shard_index,
             "shard_count": self.shard_count,
-            "streaming": bool(getattr(self.settings, "stream_traces", False)),
             "nominal_store": self.nominal_store,
             "nominal_ipc_bytes": self.nominal_ipc_bytes,
             "record_ipc_bytes_total": sum(payloads),
@@ -380,7 +360,6 @@ class CampaignResult:
                                    default=0),
             "batch_width": self.batch_width,
             "early_aborted": self.early_aborted,
-            "solves_shared": self.solves_shared,
             "checkpoint_skipped": self.checkpoint_skipped,
             # Retry accounting (campaign service): only the final attempt
             # of a fault produces a record, so the step/iteration totals
@@ -508,7 +487,6 @@ class FaultSimulator:
         construction path shared by serial execution and the batched
         lockstep driver, so both simulate under identical knobs."""
         settings = self.settings
-        streaming = bool(getattr(settings, "stream_traces", False))
         return TransientAnalysis(
             circuit, tstop=settings.tstop, tstep=settings.tstep,
             options=settings.simulator_options, use_ic=settings.use_ic,
@@ -516,10 +494,7 @@ class FaultSimulator:
             solver_backend=settings.solver_backend,
             # Observed-node streaming: the comparator only ever reads the
             # observation nodes, so nothing else needs to be materialised.
-            record_nodes=settings.observation_nodes if streaming else None,
-            tail_downsample=(getattr(settings, "tail_downsample", 0)
-                             if streaming else 0),
-            record_currents=not streaming,
+            record_nodes=settings.observation_nodes,
             timestep=getattr(settings, "timestep", None))
 
     def _run_transient(self, circuit: Circuit) -> tuple[dict[str, Waveform], dict]:
@@ -655,8 +630,8 @@ class FaultSimulator:
                             shard_index=shard_index, shard_count=shard_count,
                             preflight=mode, diagnostics=diagnostics)
 
-    def run(self, workers: int | None = None, progress_callback=None,
-            checkpoint=None, *, executor=None) -> CampaignResult:
+    def run(self, *, executor=None, progress_callback=None,
+            checkpoint=None) -> CampaignResult:
         """Run the whole campaign: plan, execute, collect.
 
         The *plan* stage (:meth:`plan`) partitions the fault list against
@@ -679,15 +654,7 @@ class FaultSimulator:
         ``shard_index``/``shard_count``/``checkpoint`` executor
         attributes — are honoured automatically), a ``BatchedExecutor``
         for lockstep SIMD batches, or nothing for the ``SerialExecutor``
-        default.
-
-        ``workers`` is the *deprecated* spelling of that choice: passing
-        it emits a :class:`DeprecationWarning` and constructs the exact
-        executor the old API did (``PoolExecutor(workers)`` for
-        ``workers > 1``, the serial default otherwise), so legacy calls
-        stay behaviorally identical record for record.  Combining it with
-        an explicit ``executor`` raises — parallelism belongs to the
-        executor (``PoolExecutor(N)``, ``ShardExecutor(..., workers=N)``).
+        default.  Every argument is keyword-only.
 
         The *collect* stage assembles the ordered records, the executor's
         telemetry and the timings into the :class:`CampaignResult`.
@@ -698,34 +665,21 @@ class FaultSimulator:
         one — so a resumed campaign reports monotone ``done/total``
         progress from its very first event instead of starting mid-count.
         """
-        from .executors import BatchedExecutor, PoolExecutor, SerialExecutor
+        from .executors import BatchedExecutor, SerialExecutor
 
-        if workers is not None:
-            warnings.warn(
-                "FaultSimulator.run(workers=N) is deprecated; pass "
-                "executor=PoolExecutor(N) (or SerialExecutor()) instead",
-                DeprecationWarning, stacklevel=2)
-            if executor is not None and workers != 1:
-                raise CampaignError(
-                    "run(workers=..., executor=...) is ambiguous: give "
-                    "the worker count to the executor instead "
-                    "(PoolExecutor(N), ShardExecutor(..., workers=N))")
         if executor is None:
-            if workers is not None and workers > 1:
-                executor = PoolExecutor(workers)
-            else:
-                executor = SerialExecutor()
-                # CI leg: REPRO_FORCE_BATCHED=<width> substitutes the
-                # batched executor for the serial default, so the whole
-                # tier-1 suite doubles as a batched-vs-serial differential
-                # harness — for fixed *and* adaptive campaigns (lockstep
-                # synchronises adaptive variants on the shared print
-                # grid).  Only the defaultable case is forced (explicit
-                # executors keep their path).
-                forced = os.environ.get("REPRO_FORCE_BATCHED", "").strip()
-                if forced and forced != "0":
-                    width = int(forced) if forced.isdigit() else 4
-                    executor = BatchedExecutor(batch_width=max(1, width))
+            executor = SerialExecutor()
+            # CI leg: REPRO_FORCE_BATCHED=<width> substitutes the batched
+            # executor for the serial default, so the whole tier-1 suite
+            # doubles as a batched-vs-serial differential harness — for
+            # fixed *and* adaptive campaigns (lockstep synchronises
+            # adaptive variants on the shared print grid).  Only the
+            # defaultable case is forced (explicit executors keep their
+            # path).
+            forced = os.environ.get("REPRO_FORCE_BATCHED", "").strip()
+            if forced and forced != "0":
+                width = int(forced) if forced.isdigit() else 4
+                executor = BatchedExecutor(batch_width=max(1, width))
         executor_checkpoint = getattr(executor, "checkpoint", None)
         if checkpoint is None:
             # A ShardExecutor brings its own JSONL output file.
@@ -825,24 +779,17 @@ class FaultSimulator:
         result.nominal_ipc_bytes = info.nominal_ipc_bytes
         result.batch_width = info.batch_width
         result.early_aborted = info.early_aborted
-        result.solves_shared = info.solves_shared
         result.service = dict(getattr(info, "service", None) or {})
         result.total_elapsed_seconds = _time.perf_counter() - start
         return result
 
 
 def run_campaign(circuit: Circuit, fault_list: FaultList,
-                 settings: CampaignSettings | None = None,
-                 workers: int | None = None, checkpoint=None, *,
-                 executor=None) -> CampaignResult:
+                 settings: CampaignSettings | None = None, *,
+                 executor=None, checkpoint=None) -> CampaignResult:
     """Convenience wrapper: build a :class:`FaultSimulator` and run it.
 
     ``executor``/``checkpoint`` are forwarded to
-    :meth:`FaultSimulator.run` — the same single execution seam —
-    including the deprecated ``workers`` spelling (and its
-    :class:`DeprecationWarning`)."""
+    :meth:`FaultSimulator.run` — the same single execution seam."""
     simulator = FaultSimulator(circuit, fault_list, settings)
-    if workers is None:
-        return simulator.run(checkpoint=checkpoint, executor=executor)
-    return simulator.run(workers=workers, checkpoint=checkpoint,
-                         executor=executor)
+    return simulator.run(executor=executor, checkpoint=checkpoint)

@@ -12,8 +12,8 @@ worker attaches to the same physical pages — N workers pay one copy total.
 (:class:`repro.anafault.executors.PoolExecutor` publishes once per pool
 run).  It
 degrades cleanly: when shared memory is unavailable (platform without
-``/dev/shm``, an environment that forbids segment creation, or an explicit
-``shared=False``) it returns an :class:`InlineNominalStore` that simply
+``/dev/shm``, or an environment that forbids segment creation) it returns
+an :class:`InlineNominalStore` that simply
 carries the waveform dict and pickles it the old way.  Both stores expose the
 same small interface (:meth:`~NominalStore.waveforms`,
 :meth:`~NominalStore.payload_bytes`, :meth:`~NominalStore.dispose`,
@@ -29,7 +29,7 @@ import numpy as np
 
 from ..spice.waveform import Waveform
 
-try:  # pragma: no cover - import guard exercised via publish_nominal
+try:
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - no _posixshmem on this platform
     _shared_memory = None
@@ -179,8 +179,7 @@ class InlineNominalStore:
 
     Behaviourally identical to :class:`NominalStore` (same interface, same
     waveform values) but every worker receives its own full copy over IPC —
-    the pre-streaming behaviour, kept for platforms without shared memory
-    and for ``CampaignSettings(use_shared_memory=False)``.
+    the pre-streaming behaviour, kept for platforms without shared memory.
     """
 
     kind = "inline"
@@ -200,18 +199,17 @@ class InlineNominalStore:
         """Nothing to release; present for interface symmetry."""
 
 
-def publish_nominal(waveforms: dict[str, Waveform],
-                    shared: bool = True) -> NominalStore | InlineNominalStore:
+def publish_nominal(
+        waveforms: dict[str, Waveform]) -> NominalStore | InlineNominalStore:
     """Publish the nominal waveforms for worker processes.
 
-    Returns a shared-memory :class:`NominalStore` when ``shared`` is set and
-    the platform supports it, otherwise an :class:`InlineNominalStore`; the
-    caller is responsible for :meth:`~NominalStore.dispose` once the worker
-    pool has shut down.
+    Returns a shared-memory :class:`NominalStore` when the platform
+    supports it, otherwise (no ``shared_memory`` module, or ``OSError`` on
+    publish, e.g. a read-only ``/dev/shm``) an :class:`InlineNominalStore`;
+    the caller is responsible for :meth:`~NominalStore.dispose` once the
+    worker pool has shut down.
     """
-    if shared and _shared_memory is not None:
-        try:
-            return NominalStore.publish(waveforms)
-        except OSError:  # pragma: no cover - e.g. read-only /dev/shm
-            pass
-    return InlineNominalStore(waveforms)
+    try:
+        return NominalStore.publish(waveforms)
+    except OSError:
+        return InlineNominalStore(waveforms)

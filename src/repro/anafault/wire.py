@@ -52,6 +52,13 @@ _NESTED_SETTINGS = {
     "timestep": TransientOptions,
 }
 
+#: Settings fields that earlier versions wrote to the wire and that no
+#: longer exist.  They only chose between engine paths with identical
+#: verdicts and never entered the campaign fingerprint, so payloads (and
+#: spooled job descriptors) that still carry them load with them ignored.
+RETIRED_SETTINGS = frozenset({"stream_traces", "use_shared_memory",
+                              "tail_downsample"})
+
 
 # ---------------------------------------------------------------------------
 # Settings
@@ -84,8 +91,12 @@ def settings_from_wire(wire: dict) -> CampaignSettings:
 
     Unknown keys are rejected (they would silently change what is
     simulated on one side of the wire only); missing keys fall back to the
-    library defaults, so an older client can talk to a newer daemon.
+    library defaults and :data:`RETIRED_SETTINGS` are ignored, so an older
+    client can talk to a newer daemon and a newer daemon reloads an older
+    spool.
     """
+    wire = {name: value for name, value in wire.items()
+            if name not in RETIRED_SETTINGS}
     known = {field.name for field in dataclasses.fields(CampaignSettings)}
     unknown = set(wire) - known
     if unknown:

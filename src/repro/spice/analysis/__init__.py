@@ -18,13 +18,7 @@ from .backends import (
     select_backend,
     sparse_available,
 )
-from .batched import (
-    NUMERICS_MODES,
-    BatchedTransient,
-    BlockDiagonalSystem,
-    WoodburySolver,
-    low_rank_update,
-)
+from .batched import BatchedTransient
 from .dc import (
     DCSweepAnalysis,
     DCSweepResult,
@@ -46,11 +40,7 @@ from .transient import (
 __all__ = [
     "ACAnalysis",
     "ACResult",
-    "NUMERICS_MODES",
     "BatchedTransient",
-    "BlockDiagonalSystem",
-    "WoodburySolver",
-    "low_rank_update",
     "BACKEND_CHOICES",
     "SPARSE_AUTO_THRESHOLD",
     "DenseSolverBackend",

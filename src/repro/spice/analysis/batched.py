@@ -12,17 +12,12 @@ changing per-variant semantics:
   layer plugs the incremental persistence scan in here);
 * **eviction** — a variant that fails to converge mid-batch is removed
   and reported, without perturbing its siblings (each variant owns its
-  state and solver cache);
-* **shared numerics** (opt-in) — linear variants can be served from the
-  nominal factorisation plus a low-rank Woodbury update
-  (:class:`WoodburySolver`), or from one block-diagonal factorisation of
-  the whole group (:class:`BlockDiagonalSystem`, which reuses the cached
-  COO→CSC scatter pattern of the sparse backend across re-assemblies).
+  state and solver cache).
 
-In the default ``numerics="exact"`` mode every variant performs exactly
-the arithmetic a serial :meth:`TransientAnalysis.run` would — lockstep
-only reorders *which variant* computes next, never *what* it computes —
-so batched and serial campaign records are identical by construction.
+Every variant performs exactly the arithmetic a serial
+:meth:`TransientAnalysis.run` would — lockstep only reorders *which
+variant* computes next, never *what* it computes — so batched and serial
+campaign records are identical by construction.
 ``docs/batching.md`` walks through the whole design.
 """
 
@@ -31,326 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import (AnalysisError, ConvergenceError, SingularMatrixError)
-from .backends import (_CSCPattern, _csc_matrix, _splu, MNASystem,
-                       SparseMNASystem, make_lu_solver, sparse_available)
-from .mna import MNABuilder
-from .transient import TransientAnalysis, TransientRun
-
-#: Recognised :class:`BatchedTransient` numerics modes.
-NUMERICS_MODES = ("exact", "shared")
-
-
-def dense_matrix(system) -> np.ndarray:
-    """A dense copy of an assembled MNA system's matrix.
-
-    Accepts both backend system types (dense :class:`MNASystem` and COO
-    :class:`SparseMNASystem`); the shared-numerics delta extraction works
-    on dense copies because fault deltas touch a handful of entries.
-    """
-    if isinstance(system, MNASystem):
-        return system.matrix.copy()
-    if isinstance(system, SparseMNASystem):
-        return system._assemble().toarray()
-    raise AnalysisError(
-        f"cannot densify MNA system of type {type(system).__name__}")
-
-
-def low_rank_update(nominal: np.ndarray, variant: np.ndarray,
-                    max_rank: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Express ``variant - nominal`` as columns of a low-rank update.
-
-    Returns ``(U, columns)`` with ``variant = nominal + U @ I[columns].T``
-    where ``U = (variant - nominal)[:, columns]`` and ``columns`` are the
-    touched matrix columns, or ``None`` when more than ``max_rank``
-    columns differ (the column count is an upper bound on the true rank
-    of the delta — exact enough for single-device fault perturbations,
-    which touch at most a few terminals).
-    """
-    delta = variant - nominal
-    columns = np.nonzero(np.any(delta != 0.0, axis=0))[0]
-    if len(columns) > max_rank:
-        return None
-    return delta[:, columns], columns
-
-
-class WoodburySolver:
-    """Solve ``(A0 + U Iᵀ_J) x = b`` through a factorisation of ``A0``.
-
-    The classic Woodbury identity: with ``Z = A0⁻¹ U`` (one nominal solve
-    per update column, done once at construction) and the small
-    capacitance matrix ``C = I + Z[J]``,
-
-    ``x = A0⁻¹ b − Z C⁻¹ (A0⁻¹ b)[J]``.
-
-    Every per-timestep solve of a fault variant thus reuses the *nominal*
-    LU factors — the variant's own matrix is never factorised.  Raises
-    :class:`SingularMatrixError` when the capacitance matrix is singular
-    (the perturbed system genuinely is singular then) or the solution is
-    non-finite.
-    """
-
-    def __init__(self, base_solve, update: np.ndarray, columns: np.ndarray):
-        """Precompute ``Z = A0⁻¹ U`` and factor the capacitance matrix.
-
-        ``base_solve`` is a frozen solver of the nominal matrix (from
-        ``freeze_solver``); ``update``/``columns`` come from
-        :func:`low_rank_update`.
-        """
-        update = np.asarray(update, dtype=float)
-        self._columns = np.asarray(columns, dtype=int)
-        self._base = base_solve
-        rank = update.shape[1]
-        self._z = np.column_stack(
-            [base_solve(update[:, j]) for j in range(rank)]) if rank \
-            else np.zeros((update.shape[0], 0))
-        capacitance = np.eye(rank) + self._z[self._columns, :]
-        self._cap_solve = make_lu_solver(capacitance) if rank else None
-
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the perturbed system for ``rhs``."""
-        y = self._base(rhs)
-        if self._cap_solve is None:
-            return y
-        solution = y - self._z @ self._cap_solve(y[self._columns])
-        if not np.all(np.isfinite(solution)):
-            raise SingularMatrixError(
-                "Woodbury-updated solution contains NaN/Inf")
-        return solution
-
-
-class BlockDiagonalSystem:
-    """K same-size MNA matrices stacked into one block-diagonal solve.
-
-    :meth:`update` scatters the K blocks into one stacked COO triplet set
-    (block k offset by ``k·n`` on both axes) and factorises the stacked
-    matrix once.  Under the sparse backend the symbolic COO→CSC scatter
-    pattern (:class:`~repro.spice.analysis.backends._CSCPattern`) is
-    computed on the first assembly and reused for every later one with
-    the same structure, exactly like :class:`SparseMNASystem` does for a
-    single matrix; without SciPy the stacked matrix is factorised
-    densely.  :meth:`solve_all` solves all K right-hand sides against the
-    one factorisation; :meth:`solve_block` serves a single variant.
-    """
-
-    def __init__(self, block_size: int, count: int):
-        """Prepare for ``count`` blocks of ``block_size`` unknowns each."""
-        if block_size < 1 or count < 1:
-            raise AnalysisError(
-                "block-diagonal systems need positive block size and count")
-        self.block_size = int(block_size)
-        self.count = int(count)
-        self._pattern: _CSCPattern | None = None
-        self._solve = None
-
-    @property
-    def size(self) -> int:
-        """Total number of stacked unknowns (``block_size * count``)."""
-        return self.block_size * self.count
-
-    def update(self, blocks) -> None:
-        """Assemble and factorise the stacked matrix from dense ``blocks``.
-
-        Raises :class:`SingularMatrixError` when the stacked matrix (i.e.
-        any single block) cannot be factorised.
-        """
-        if len(blocks) != self.count:
-            raise AnalysisError(
-                f"expected {self.count} blocks, got {len(blocks)}")
-        n = self.block_size
-        if sparse_available():
-            row_parts, col_parts, val_parts = [], [], []
-            for index, block in enumerate(blocks):
-                block = np.asarray(block, dtype=float)
-                if block.shape != (n, n):
-                    raise AnalysisError(
-                        f"block {index} has shape {block.shape}, "
-                        f"expected {(n, n)}")
-                rows, cols = np.nonzero(block)
-                row_parts.append(rows + index * n)
-                col_parts.append(cols + index * n)
-                val_parts.append(block[rows, cols])
-            rows = np.concatenate(row_parts)
-            cols = np.concatenate(col_parts)
-            values = np.concatenate(val_parts)
-            pattern = self._pattern
-            if pattern is None or not pattern.matches(rows, cols):
-                pattern = _CSCPattern(rows, cols, self.size)
-                self._pattern = pattern
-            data = np.bincount(pattern.coo_to_csc, weights=values,
-                               minlength=pattern.nnz)
-            matrix = _csc_matrix((data, pattern.indices, pattern.indptr),
-                                 shape=(self.size, self.size))
-            try:
-                lu = _splu(matrix)
-            except (RuntimeError, ValueError, ArithmeticError) as exc:
-                raise SingularMatrixError(
-                    f"stacked block-diagonal matrix cannot be factorised: "
-                    f"{exc}") from exc
-            self._solve = lu.solve
-        else:
-            stacked = np.zeros((self.size, self.size))
-            for index, block in enumerate(blocks):
-                block = np.asarray(block, dtype=float)
-                if block.shape != (n, n):
-                    raise AnalysisError(
-                        f"block {index} has shape {block.shape}, "
-                        f"expected {(n, n)}")
-                stacked[index * n:(index + 1) * n,
-                        index * n:(index + 1) * n] = block
-            self._solve = make_lu_solver(stacked)
-
-    def _require_factors(self):
-        if self._solve is None:
-            raise AnalysisError(
-                "BlockDiagonalSystem.update() must run before solving")
-        return self._solve
-
-    def solve_all(self, rhs_blocks) -> list[np.ndarray]:
-        """Solve every block against the one stacked factorisation."""
-        solve = self._require_factors()
-        if len(rhs_blocks) != self.count:
-            raise AnalysisError(
-                f"expected {self.count} right-hand sides, "
-                f"got {len(rhs_blocks)}")
-        stacked = np.concatenate(
-            [np.asarray(rhs, dtype=float) for rhs in rhs_blocks])
-        solution = solve(stacked)
-        if not np.all(np.isfinite(solution)):
-            raise SingularMatrixError(
-                "stacked block-diagonal solution contains NaN/Inf")
-        n = self.block_size
-        return [solution[k * n:(k + 1) * n] for k in range(self.count)]
-
-    def solve_block(self, index: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve block ``index`` alone (zero right-hand side elsewhere)."""
-        solve = self._require_factors()
-        if not 0 <= index < self.count:
-            raise AnalysisError(f"block index {index} out of range")
-        n = self.block_size
-        stacked = np.zeros(self.size)
-        stacked[index * n:(index + 1) * n] = np.asarray(rhs, dtype=float)
-        solution = solve(stacked)[index * n:(index + 1) * n]
-        if not np.all(np.isfinite(solution)):
-            raise SingularMatrixError(
-                "block-diagonal solution contains NaN/Inf")
-        return solution
-
-
-class _ScratchAssembler:
-    """Assemble a builder's constant MNA matrix for a given step key.
-
-    A linear circuit's matrix depends only on the integration
-    coefficients and gmin — never on time, the solution, or the companion
-    history — so a scratch state carrying just the key reproduces the
-    matrix any real timestep with that key would assemble.
-    """
-
-    def __init__(self, builder: MNABuilder):
-        self.builder = builder
-        state = builder.new_state("tran")
-        for device in builder.devices:
-            device.init_state(state)
-        self.state = state
-
-    def system_for(self, key):
-        c0, c1, gmin = key
-        state = self.state
-        state.integ_c0 = c0
-        state.integ_c1 = c1
-        state.gmin = gmin
-        state.dt = 1.0 / c0 if c0 else 0.0
-        return self.builder.assemble_constant(state)
-
-    def matrix_for(self, key) -> np.ndarray:
-        return dense_matrix(self.system_for(key))
-
-
-class _WoodburyFactory:
-    """Per-key nominal factorisations plus per-variant Woodbury updates."""
-
-    def __init__(self, circuit, reference: TransientAnalysis, max_rank: int):
-        self.max_rank = max_rank
-        self.builder = MNABuilder(circuit, reference.options,
-                                  solver_backend=reference.solver_backend)
-        self.usable = self.builder.is_linear
-        self._assembler = _ScratchAssembler(self.builder) if self.usable \
-            else None
-        self._cache: dict = {}
-
-    def compatible(self, builder: MNABuilder) -> bool:
-        """True when ``builder``'s unknown layout matches the nominal."""
-        return (self.usable
-                and builder.size == self.builder.size
-                and builder.node_index == self.builder.node_index)
-
-    def _nominal_for(self, key):
-        entry = self._cache.get(key)
-        if entry is None:
-            base = self._assembler.system_for(key)
-            entry = (dense_matrix(base), base.freeze_solver())
-            self._cache[key] = entry
-        return entry
-
-    def hook_for(self, run: TransientRun):
-        """A :attr:`TransientRun.solver_hook` serving shared solvers."""
-        def hook(builder, base, key):
-            try:
-                nominal_dense, nominal_solve = self._nominal_for(key)
-            except SingularMatrixError:
-                return None
-            update = low_rank_update(nominal_dense, dense_matrix(base),
-                                     self.max_rank)
-            if update is None:
-                return None
-            matrix_update, columns = update
-            if len(columns) == 0:
-                return nominal_solve
-            try:
-                return WoodburySolver(nominal_solve, matrix_update, columns)
-            except SingularMatrixError:
-                return None
-        return hook
-
-
-class _StackedFactory:
-    """One block-diagonal factorisation per step key for a variant group."""
-
-    def __init__(self, runs: list[TransientRun]):
-        self.runs = runs
-        self.system = BlockDiagonalSystem(runs[0].builder.size, len(runs))
-        self._assemblers = {id(run): _ScratchAssembler(run.builder)
-                            for run in runs}
-        self._solvers: dict = {}
-
-    def _build(self, key, position: int, base) -> list:
-        blocks = []
-        for index, run in enumerate(self.runs):
-            if index == position:
-                # The requesting variant's matrix is already assembled.
-                blocks.append(dense_matrix(base))
-            else:
-                blocks.append(self._assemblers[id(run)].matrix_for(key))
-        self.system.update(blocks)
-        system = self.system
-        return [(lambda rhs, _index=index: system.solve_block(_index, rhs))
-                for index in range(len(self.runs))]
-
-    def hook_for(self, run: TransientRun):
-        """A :attr:`TransientRun.solver_hook` serving block solves."""
-        position = self.runs.index(run)
-
-        def hook(builder, base, key):
-            solvers = self._solvers.get(key)
-            if solvers is None:
-                try:
-                    solvers = self._build(key, position, base)
-                except SingularMatrixError:
-                    # One singular block poisons the stacked factorisation;
-                    # fall back to per-variant factorisations for this key.
-                    return None
-                self._solvers[key] = solvers
-            return solvers[position]
-        return hook
+from .transient import TransientRun
 
 
 class BatchedTransient:
@@ -365,16 +41,6 @@ class BatchedTransient:
     grid (same ``tstop`` / ``tstep``), which a campaign guarantees by
     construction.
 
-    ``numerics="exact"`` (default) keeps every variant's arithmetic
-    identical to a serial run.  ``numerics="shared"`` additionally serves
-    the linear sub-steps of eligible variants from shared factorisations:
-    variants whose unknown layout matches ``nominal_circuit`` and whose
-    matrix delta touches at most ``max_shared_rank`` columns go through
-    :class:`WoodburySolver`; remaining same-layout linear groups share a
-    :class:`BlockDiagonalSystem`.  Shared numerics is float-exact in
-    theory but not bit-exact (different operation order), so campaigns
-    verify it at verdict level.
-
     After :meth:`run`, each variant ended in exactly one of three ways:
     a finished :class:`TransientRun` (in :attr:`runs`), an early abort
     (index in :attr:`aborted`, partial run still in :attr:`runs`), or an
@@ -382,20 +48,12 @@ class BatchedTransient:
     ``None``).
     """
 
-    def __init__(self, analyses, numerics: str = "exact",
-                 nominal_circuit=None, max_shared_rank: int = 4):
+    def __init__(self, analyses):
         """Validate the batch; simulation starts at :meth:`begin`/:meth:`run`."""
         analyses = list(analyses)
         if not analyses:
             raise AnalysisError("a batched transient needs >= 1 variant")
-        if numerics not in NUMERICS_MODES:
-            raise AnalysisError(
-                f"unknown batched numerics mode {numerics!r} "
-                f"(choose from {NUMERICS_MODES})")
         self.analyses = analyses
-        self.numerics = numerics
-        self.nominal_circuit = nominal_circuit
-        self.max_shared_rank = int(max_shared_rank)
         #: Per-variant :class:`TransientRun` (``None`` once evicted).
         self.runs: list[TransientRun | None] = [None] * len(analyses)
         #: Variant index → the exception that evicted it.
@@ -404,7 +62,6 @@ class BatchedTransient:
         self.aborted: set[int] = set()
         #: Shared print grid (after :meth:`begin`).
         self.times: np.ndarray | None = None
-        self._solves_shared_evicted = 0
         self._begun = False
 
     @property
@@ -412,14 +69,8 @@ class BatchedTransient:
         """Number of variants in the batch."""
         return len(self.analyses)
 
-    @property
-    def solves_shared(self) -> int:
-        """Linear solves served by shared factorisations, batch-wide."""
-        return self._solves_shared_evicted + sum(
-            run.solves_shared for run in self.runs if run is not None)
-
     def begin(self) -> "BatchedTransient":
-        """Solve every variant's initial state and wire shared numerics.
+        """Solve every variant's initial state.
 
         A variant whose initial solve diverges is evicted immediately
         (recorded in :attr:`errors`); its siblings are unaffected.
@@ -439,48 +90,10 @@ class BatchedTransient:
                     f"(variant {index} disagrees)")
             self.runs[index] = run
         self.times = grid
-        if self.numerics == "shared":
-            self._install_shared()
         self._begun = True
         return self
 
-    def _install_shared(self) -> None:
-        linear = [index for index, run in enumerate(self.runs)
-                  if run is not None and run.builder.is_linear]
-        if not linear:
-            return
-        factory = None
-        if self.nominal_circuit is not None:
-            reference = self.analyses[linear[0]]
-            factory = _WoodburyFactory(self.nominal_circuit, reference,
-                                       self.max_shared_rank)
-        leftover: list[int] = []
-        for index in linear:
-            run = self.runs[index]
-            if factory is not None and factory.compatible(run.builder):
-                run.solver_hook = factory.hook_for(run)
-            else:
-                leftover.append(index)
-        # Same-layout variants without a usable nominal share one
-        # block-diagonal factorisation per step key instead.
-        groups: dict = {}
-        for index in leftover:
-            builder = self.runs[index].builder
-            layout = (builder.size, tuple(builder.node_index))
-            groups.setdefault(layout, []).append(index)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            stacked = _StackedFactory([self.runs[index]
-                                       for index in members])
-            for index in members:
-                self.runs[index].solver_hook = stacked.hook_for(
-                    self.runs[index])
-
     def _evict(self, index: int, error: Exception) -> None:
-        run = self.runs[index]
-        if run is not None:
-            self._solves_shared_evicted += run.solves_shared
         self.errors[index] = error
         self.runs[index] = None
 

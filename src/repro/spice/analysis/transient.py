@@ -47,7 +47,7 @@ from ...errors import (AnalysisError, ConvergenceError, SingularMatrixError,
 from ..netlist import Circuit, normalize_node, GROUND
 from ..waveform import Waveform
 from .dc import solve_operating_point
-from .mna import MNABuilder, SimState, SimulationOptions
+from .mna import MNABuilder, SimulationOptions
 from .newton import solve_newton
 
 #: Hard ceiling on the number of print points (guards against pathological
@@ -251,18 +251,11 @@ class TransientResult:
 
     def __init__(self, time: np.ndarray, node_traces: dict[str, np.ndarray],
                  branch_traces: dict[str, np.ndarray] | None = None,
-                 stats: dict | None = None,
-                 tail_time: np.ndarray | None = None,
-                 tail_traces: dict[str, np.ndarray] | None = None):
+                 stats: dict | None = None):
         self.time = np.asarray(time, dtype=float)
         self._nodes = node_traces
         self._branches = branch_traces or {}
         self.stats = dict(stats or {})
-        #: Print times of the downsampled reporting tail (streaming runs
-        #: with ``tail_downsample``; ``None`` otherwise).
-        self.tail_time = (None if tail_time is None
-                          else np.asarray(tail_time, dtype=float))
-        self._tail = tail_traces or {}
 
     @staticmethod
     def _canonical(signal: str) -> str:
@@ -289,10 +282,6 @@ class TransientResult:
         if key in self._branches:
             return Waveform(self.time, self._branches[key], name=f"i({key})",
                             unit="A")
-        if key in self._tail:
-            # Streaming run: the node was not selected for full-resolution
-            # recording but is available on the downsampled reporting tail.
-            return Waveform(self.tail_time, self._tail[key], name=f"v({key})")
         raise AnalysisError(f"no recorded signal named {signal!r}")
 
     def current(self, device_name: str) -> Waveform:
@@ -337,20 +326,13 @@ class TransientAnalysis:
         :mod:`repro.spice.analysis.backends`.  The backend actually used is
         recorded in ``TransientResult.stats["solver_backend"]``.
     record_nodes:
-        ``None`` (default) records every node and — subject to
-        ``record_currents`` — every branch current, materialising the full
-        unknowns × time trace matrix.  A sequence of node names switches to
+        ``None`` (default) records every node and every branch current,
+        materialising the full unknowns × time trace matrix.  A sequence of node names switches to
         *observed-node streaming*: only those nodes are recorded at print
         resolution, cutting trace memory from ``O(size × points)`` to
         ``O(observed × points)`` (the campaign layer uses this for its
         comparator nodes).  Unknown node names raise
         :class:`~repro.errors.AnalysisError` up front.
-    tail_downsample:
-        Opt-in reporting tail for streaming runs: when ``record_nodes`` is
-        given and this is > 0, *all* node voltages are additionally kept at
-        every ``tail_downsample``-th print point (plus the final one),
-        retrievable through :meth:`TransientResult.waveform` at the reduced
-        resolution.  Ignored when ``record_nodes`` is ``None``.
     timestep:
         Timestep-control policy: a :class:`TransientOptions` instance, a
         mode string (``"fixed"``/``"adaptive"``) as a shorthand for
@@ -368,28 +350,22 @@ class TransientAnalysis:
                  options: SimulationOptions | None = None,
                  use_ic: bool = False,
                  initial_conditions: dict[str, float] | None = None,
-                 record_currents: bool = True,
                  solver_backend: str | None = None,
                  record_nodes=None,
-                 tail_downsample: int = 0,
                  timestep: TransientOptions | str | None = None):
         if tstop <= 0.0 or tstep <= 0.0:
             raise AnalysisError("tstop and tstep must be positive")
         if tstep > tstop:
             raise AnalysisError("tstep must not exceed tstop")
-        if tail_downsample < 0:
-            raise AnalysisError("tail_downsample must be >= 0")
         self.circuit = circuit
         self.tstop = float(tstop)
         self.tstep = float(tstep)
         self.options = options or SimulationOptions()
         self.use_ic = use_ic
         self.initial_conditions = dict(initial_conditions or {})
-        self.record_currents = record_currents
         self.solver_backend = solver_backend
         self.record_nodes = (None if record_nodes is None
                              else tuple(record_nodes))
-        self.tail_downsample = int(tail_downsample)
         if timestep is None:
             timestep = TransientOptions()
         elif isinstance(timestep, str):
@@ -595,29 +571,6 @@ class TransientAnalysis:
             seen.add(key)
         return np.asarray(indices, dtype=int), names
 
-    # ------------------------------------------------------------------
-    def _solve_linear_step(self, builder: MNABuilder, state: SimState,
-                           lu_cache: _LRUCache) -> None:
-        """Advance a fully linear circuit by one sub-step.
-
-        The MNA matrix of a linear circuit depends only on the integration
-        coefficients (and gmin), not on time or the solution, so each
-        distinct step size is factorised once — through the backend's
-        :meth:`freeze_solver` (dense LAPACK LU or sparse SuperLU) — and the
-        factors are reused for every timestep taken with that ``dt``.  The
-        cache is bounded: the adaptive driver produces a changing (but,
-        thanks to step quantisation, mostly recurring) set of step sizes,
-        and least recently used factorisations are evicted beyond
-        ``TransientOptions.solver_cache_size``.
-        """
-        base = builder.assemble_constant(state)
-        key = (state.integ_c0, state.integ_c1, state.gmin)
-        solver = lu_cache.get(key)
-        if solver is None:
-            solver = base.freeze_solver()
-            lu_cache.put(key, solver)
-        state.x = solver(base.rhs)
-
 
 class TransientRun:
     """One transient analysis, drivable print interval by print interval.
@@ -672,27 +625,7 @@ class TransientRun:
         else:
             # Observed-node streaming: keep only the selected columns.
             self.data = np.zeros((num_outputs, len(select[0])))
-        self._tail_rows: dict[int, int] = {}
-        self._tail_data = None
-        if select is not None and analysis.tail_downsample > 0:
-            # Downsampled full-width tail for reporting: every Nth print
-            # point plus the final one.
-            rows = list(range(0, num_outputs, analysis.tail_downsample))
-            if rows[-1] != num_outputs - 1:
-                rows.append(num_outputs - 1)
-            self._tail_rows = {print_index: row for row, print_index in
-                               enumerate(rows)}
-            self._tail_data = np.zeros((len(rows), builder.size))
-            self._tail_data[0] = state.x
         self.data[0] = state.x if select is None else state.x[select[0]]
-
-        #: Optional shared-numerics hook consulted on linear solver-cache
-        #: misses: ``hook(builder, base_system, key)`` returns a frozen
-        #: solver (e.g. a Woodbury update of the nominal factorisation) or
-        #: ``None`` to fall back to the variant's own factorisation.
-        self.solver_hook = None
-        #: Number of linear solves served by a hook-provided shared solver.
-        self.solves_shared = 0
 
         topts = analysis.timestep
         self._adaptive = topts.mode == "adaptive"
@@ -792,8 +725,6 @@ class TransientRun:
     def _write(self, output_index: int, x: np.ndarray) -> None:
         self.data[output_index] = x if self._select is None else \
             x[self._select[0]]
-        if self._tail_data is not None and output_index in self._tail_rows:
-            self._tail_data[self._tail_rows[output_index]] = x
 
     def advance(self) -> bool:
         """Integrate to the next print point and record its row.
@@ -1280,26 +1211,24 @@ class TransientRun:
                 self._step = min(self._step * 2.0, analysis.tstep)
 
     def _solve_linear_step(self) -> None:
-        """Linear sub-step through the per-run factorisation cache.
+        """Advance a fully linear circuit by one sub-step.
 
-        Same contract as :meth:`TransientAnalysis._solve_linear_step`,
-        with one extension: on a cache miss :attr:`solver_hook` (when set)
-        may supply a shared solver — a nominal factorisation plus low-rank
-        update — instead of factorising this variant's own matrix.
+        The MNA matrix of a linear circuit depends only on the integration
+        coefficients (and gmin), not on time or the solution, so each
+        distinct step size is factorised once — through the backend's
+        :meth:`freeze_solver` (dense LAPACK LU or sparse SuperLU) — and the
+        factors are reused for every timestep taken with that ``dt``.  The
+        cache is bounded: the adaptive driver produces a changing (but,
+        thanks to step quantisation, mostly recurring) set of step sizes,
+        and least recently used factorisations are evicted beyond
+        ``TransientOptions.solver_cache_size``.
         """
         state = self.state
         base = self.builder.assemble_constant(state)
         key = (state.integ_c0, state.integ_c1, state.gmin)
         solver = self._lu_cache.get(key)
         if solver is None:
-            if self.solver_hook is not None:
-                shared = self.solver_hook(self.builder, base, key)
-                if shared is not None:
-                    def solver(rhs, _shared=shared):
-                        self.solves_shared += 1
-                        return _shared(rhs)
-            if solver is None:
-                solver = base.freeze_solver()
+            solver = base.freeze_solver()
             self._lu_cache.put(key, solver)
         state.x = solver(base.rhs)
 
@@ -1311,31 +1240,20 @@ class TransientRun:
         data = self.data
         select = self._select
         times = self.times
-        tail_data = self._tail_data
-        tail_rows = self._tail_rows
 
         if select is None:
             node_traces = {name: data[:, index]
                            for name, index in builder.node_index.items()}
-            branch_traces = {}
-            if analysis.record_currents:
-                branch_traces = {device.name.lower():
-                                 data[:, device.branch_index]
-                                 for device in builder.devices
-                                 if device.branch_count() > 0}
+            branch_traces = {device.name.lower():
+                             data[:, device.branch_index]
+                             for device in builder.devices
+                             if device.branch_count() > 0}
         else:
             node_traces = {}
             branch_traces = {}
             for column, (name, is_branch) in enumerate(select[1]):
                 target = branch_traces if is_branch else node_traces
                 target[name] = data[:, column]
-        tail_time = None
-        tail_traces = None
-        if tail_data is not None:
-            tail_time = times[sorted(tail_rows)]
-            tail_traces = {name: tail_data[:, index]
-                           for name, index in builder.node_index.items()
-                           if name not in node_traces}
 
         counters = {
             "newton_iterations": self._newton_iterations,
@@ -1362,8 +1280,7 @@ class TransientRun:
             "timestep_mode": analysis.timestep.mode,
             "recorded_nodes": (data.shape[1] if select is not None
                                else len(builder.node_index)),
-            "trace_bytes": int(data.nbytes) + (0 if tail_data is None
-                                               else int(tail_data.nbytes)),
+            "trace_bytes": int(data.nbytes),
         }
         stats.update(counters)
         # ``steps_accepted``/``steps_rejected`` are the documented telemetry
@@ -1371,5 +1288,4 @@ class TransientRun:
         # are kept as aliases for existing consumers.
         stats["accepted_steps"] = stats["steps_accepted"]
         stats["rejected_steps"] = stats["steps_rejected"]
-        return TransientResult(times, node_traces, branch_traces, stats=stats,
-                               tail_time=tail_time, tail_traces=tail_traces)
+        return TransientResult(times, node_traces, branch_traces, stats=stats)

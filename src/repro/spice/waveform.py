@@ -52,7 +52,7 @@ class Waveform:
         return int(self.x.nbytes) + int(self.y.nbytes)
 
     def downsample(self, every: int) -> "Waveform":
-        """Every ``every``-th sample plus the final one (reporting tails).
+        """Every ``every``-th sample plus the final one (cheap previews of a long trace).
 
         Keeps the end point so ``final_value()`` and detection checks near
         ``tstop`` survive the decimation.

@@ -52,13 +52,9 @@ from repro.lift import BridgingFault, FaultList, OpenFault, ParametricFault
 from repro.spice import Waveform
 from repro.spice.analysis import (
     BatchedTransient,
-    BlockDiagonalSystem,
     TransientAnalysis,
     TransientOptions,
-    WoodburySolver,
-    low_rank_update,
 )
-from repro.spice.analysis.batched import dense_matrix
 from repro.spice.writer import write_netlist_file
 
 # ---------------------------------------------------------------------------
@@ -535,7 +531,6 @@ class TestResumeAndTelemetry:
         assert telemetry["executor"] == "batched"
         assert telemetry["batch_width"] == 4
         assert telemetry["early_aborted"] == result.early_aborted > 0
-        assert telemetry["solves_shared"] == 0
         serial = _run(rc_circuit, _fault_list(), _settings(),
                       SerialExecutor())
         assert serial.telemetry()["batch_width"] == 0
@@ -550,10 +545,6 @@ class TestKnobs:
     def test_batch_width_validated(self):
         with pytest.raises(CampaignError, match="batch_width"):
             BatchedExecutor(batch_width=0)
-
-    def test_numerics_mode_validated(self):
-        with pytest.raises(CampaignError, match="numerics"):
-            BatchedExecutor(numerics="turbo")
 
     def test_adaptive_campaigns_batch_like_serial(self, rc_circuit):
         settings = dataclasses.replace(
@@ -605,79 +596,6 @@ class TestKnobs:
         result = FaultSimulator(rc_circuit, _fault_list(choices=[0]),
                                 _settings()).run(executor=SerialExecutor())
         assert result.executor == "serial"
-
-
-# ---------------------------------------------------------------------------
-# Shared numerics: Woodbury + block-diagonal stacking
-# ---------------------------------------------------------------------------
-
-class TestSharedNumerics:
-
-    def test_shared_mode_verdicts_match_serial(self, rc_circuit):
-        """Shared factorisations are float-exact in theory, verdict-exact
-        in this suite, and must actually share solves."""
-        faults = _fault_list()
-        serial = _run(rc_circuit, faults, _settings(), SerialExecutor())
-        shared = _run(rc_circuit, faults, _settings(),
-                      BatchedExecutor(batch_width=4, numerics="shared"))
-        assert ([_verdict(r) for r in shared.records]
-                == [_verdict(r) for r in serial.records])
-        assert shared.solves_shared > 0
-        assert shared.telemetry()["solves_shared"] == shared.solves_shared
-
-    def test_low_rank_update_extracts_touched_columns(self):
-        nominal = np.eye(4)
-        variant = nominal.copy()
-        variant[1, 2] += 0.5
-        variant[3, 2] -= 0.25
-        update, columns = low_rank_update(nominal, variant, max_rank=2)
-        assert list(columns) == [2]
-        assert np.allclose(nominal + np.outer(update[:, 0],
-                                              np.eye(4)[2]), variant)
-        assert low_rank_update(nominal, nominal + 1.0, max_rank=2) is None
-
-    def test_woodbury_solver_matches_direct_solve(self):
-        rng = np.random.default_rng(7)
-        nominal = np.eye(5) + 0.1 * rng.standard_normal((5, 5))
-        variant = nominal.copy()
-        variant[:, 2] += rng.standard_normal(5) * 0.2
-        update, columns = low_rank_update(nominal, variant, max_rank=1)
-        solver = WoodburySolver(
-            lambda rhs: np.linalg.solve(nominal, rhs), update, columns)
-        rhs = rng.standard_normal(5)
-        assert np.allclose(solver(rhs), np.linalg.solve(variant, rhs))
-
-    @pytest.mark.filterwarnings("ignore:Diagonal number")
-    def test_woodbury_singular_capacitance_raises(self):
-        nominal = np.eye(2)
-        variant = np.array([[0.0, 0.0], [0.0, 1.0]])  # singular update
-        update, columns = low_rank_update(nominal, variant, max_rank=1)
-        with pytest.raises(SingularMatrixError):
-            WoodburySolver(lambda rhs: rhs, update, columns)(np.ones(2))
-
-    def test_block_diagonal_system_matches_per_block_solves(self):
-        rng = np.random.default_rng(11)
-        blocks = [np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-                  for _ in range(4)]
-        system = BlockDiagonalSystem(3, 4)
-        system.update(blocks)
-        rhs_blocks = [rng.standard_normal(3) for _ in range(4)]
-        stacked = system.solve_all(rhs_blocks)
-        for index, (block, rhs, solution) in enumerate(
-                zip(blocks, rhs_blocks, stacked)):
-            assert np.allclose(solution, np.linalg.solve(block, rhs))
-            assert np.allclose(system.solve_block(index, rhs), solution)
-        # Re-assembly with new values reuses the cached scatter pattern.
-        system.update([2.0 * block for block in blocks])
-        assert np.allclose(system.solve_block(0, rhs_blocks[0]),
-                           np.linalg.solve(2.0 * blocks[0], rhs_blocks[0]))
-
-    def test_dense_matrix_round_trip(self):
-        analysis = TransientAnalysis(build_rc_lowpass(capacitance=1e-6),
-                                     tstop=1e-4, tstep=1e-6, use_ic=True)
-        run = analysis.start()
-        matrix = dense_matrix(run.builder.assemble_constant(run.state))
-        assert matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1]
 
 
 # ---------------------------------------------------------------------------

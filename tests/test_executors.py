@@ -176,47 +176,26 @@ class TestExecutorSeam:
         assert result.workers == 1
         assert result.nominal_store == "local"
 
-    def test_workers_with_explicit_executor_is_ambiguous(self, rc_circuit):
-        """Parallelism belongs to the executor; a workers= request next to
-        an explicit executor would be silently dropped, so it raises."""
+    def test_run_arguments_are_keyword_only(self, rc_circuit):
+        """A stale positional worker count must fail loudly instead of
+        being bound as the progress callback."""
         simulator = FaultSimulator(rc_circuit, _fault_list(), _settings())
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(CampaignError, match="ambiguous"):
-                simulator.run(workers=8, executor=SerialExecutor())
-
-    def test_workers_kwarg_is_deprecated_but_identical(self, rc_circuit):
-        """The legacy run(workers=N) spelling warns and constructs the
-        matching executor: record-for-record identical to the executor=
-        path, for the serial and the pool case alike."""
-        def run(**kwargs):
-            return FaultSimulator(rc_circuit, _fault_list(),
-                                  _settings()).run(**kwargs)
-
-        with pytest.warns(DeprecationWarning, match="executor=PoolExecutor"):
-            legacy_serial = run(workers=1)
-        modern_serial = run(executor=SerialExecutor())
-        with pytest.warns(DeprecationWarning):
-            legacy_pool = run(workers=2)
-        modern_pool = run(executor=PoolExecutor(2))
-
-        for legacy, modern in ((legacy_serial, modern_serial),
-                               (legacy_pool, modern_pool)):
-            assert ([_semantic(r) for r in legacy.records]
-                    == [_semantic(r) for r in modern.records])
-        assert legacy_pool.workers == modern_pool.workers == 2
+        with pytest.raises(TypeError):
+            simulator.run(2)
+        with pytest.raises(TypeError):
+            simulator.run(workers=2)
 
     def test_run_campaign_forwards_the_executor_seam(self, rc_circuit):
-        """run_campaign() exposes the same seam: executor= passes through,
-        and the deprecated workers= spelling warns there too."""
+        """run_campaign() exposes the same seam: executor= passes through."""
         from repro.anafault import run_campaign
 
-        modern = run_campaign(rc_circuit, _fault_list(), _settings(),
-                              executor=SerialExecutor())
-        with pytest.warns(DeprecationWarning):
-            legacy = run_campaign(rc_circuit, _fault_list(), _settings(),
-                                  workers=1)
-        assert ([_semantic(r) for r in legacy.records]
-                == [_semantic(r) for r in modern.records])
+        via_wrapper = run_campaign(rc_circuit, _fault_list(), _settings(),
+                                   executor=PoolExecutor(2))
+        direct = FaultSimulator(rc_circuit, _fault_list(),
+                                _settings()).run(executor=SerialExecutor())
+        assert via_wrapper.executor == "pool"
+        assert ([_semantic(r) for r in via_wrapper.records]
+                == [_semantic(r) for r in direct.records])
 
     def test_checkpoint_with_shard_executor_is_ambiguous(self, rc_circuit,
                                                          tmp_path):

@@ -367,6 +367,19 @@ class TestWireFormat:
         with pytest.raises(CampaignError, match="unknown field"):
             settings_from_wire(wire)
 
+    def test_retired_settings_fields_are_ignored(self, rc_circuit):
+        # Earlier versions wrote three engine switches into every payload;
+        # they never entered the fingerprint, so they load and are dropped.
+        settings = _settings()
+        wire = settings_to_wire(settings)
+        wire.update(stream_traces=False, tail_downsample=4,
+                    use_shared_memory=False)
+        rebuilt = settings_from_wire(json.loads(json.dumps(wire)))
+        assert rebuilt == settings
+        faults = _fault_list(3)
+        assert (campaign_fingerprint(rc_circuit, faults, rebuilt)
+                == campaign_fingerprint(rc_circuit, faults, settings))
+
     def test_parse_address(self):
         assert parse_address("127.0.0.1:7901") == ("127.0.0.1", 7901)
         assert parse_address(":7901") == ("127.0.0.1", 7901)
@@ -542,6 +555,25 @@ class TestCampaignServiceProtocol:
         # the completed fault's measured cost survived into the balancer
         restored = restarted.jobs[job]
         assert restored.machine.estimated_cost(1) == 7.5
+        restarted.close()
+
+    def test_restart_loads_a_spool_with_retired_settings(self, rc_circuit,
+                                                         tmp_path):
+        service, _ = self._service(tmp_path)
+        payload = _submit_payload(rc_circuit)
+        payload["settings"].update(stream_traces=True, tail_downsample=0,
+                                   use_shared_memory=True)
+        job = service.handle({"op": "submit", **payload})["job"]
+        assert job == campaign_fingerprint(rc_circuit, _fault_list(),
+                                           _settings())
+        service.close()
+        descriptor = json.loads(
+            (tmp_path / "spool" / f"{job}.job.json").read_text("utf-8"))
+        assert descriptor["payload"]["settings"]["stream_traces"] is True
+
+        restarted = CampaignService(tmp_path / "spool", clock=FakeClock())
+        assert list(restarted.jobs) == [job]
+        assert restarted.jobs[job].settings == _settings()
         restarted.close()
 
     def test_cancel_stops_serving_but_keeps_results(self, rc_circuit,

@@ -3,9 +3,9 @@
 Covers the three legs of the engine (see ``docs/campaigns.md``):
 
 * the shared-memory nominal store (one physical copy for N workers, with
-  the inline pickled fallback),
+  the inline pickled fallback where shared memory is unavailable),
 * observed-node streaming in the transient kernel (record only the
-  comparator nodes, opt-in downsampled reporting tail),
+  comparator nodes),
 * JSONL checkpoint/resume (kill a campaign mid-run, resume, and get a
   result record-for-record identical to an uninterrupted one),
 
@@ -33,6 +33,7 @@ from repro.anafault import (
     campaign_fingerprint,
     publish_nominal,
 )
+from repro.anafault import streaming
 from repro.anafault.simulator import CampaignResult
 from repro.errors import AnalysisError, CampaignError
 from repro.lift import BridgingFault, FaultList, OpenFault, ParametricFault
@@ -117,9 +118,11 @@ class TestNominalStore:
         with pytest.raises(pickle.PicklingError):
             pickle.dumps(store)
 
-    def test_inline_fallback_on_request(self):
+    def test_inline_fallback_without_shared_memory_module(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(streaming, "_shared_memory", None)
         waves = self._waves()
-        store = publish_nominal(waves, shared=False)
+        store = publish_nominal(waves)
         assert isinstance(store, InlineNominalStore)
         assert store.kind == "inline"
         assert store.waveforms()["out"] is waves["out"]
@@ -163,20 +166,6 @@ class TestObservedNodeStreaming:
                                    record_nodes=("out", "0")).run()
         assert np.all(result["0"].y == 0.0)
 
-    def test_downsampled_tail_keeps_other_nodes(self, rc_circuit):
-        kwargs = dict(tstop=5e-3, tstep=5e-5)
-        full = TransientAnalysis(rc_circuit, **kwargs).run()
-        streamed = TransientAnalysis(rc_circuit, record_nodes=("out",),
-                                     tail_downsample=10, **kwargs).run()
-        tail = streamed["in"]
-        assert len(tail) < len(full["in"])
-        # The tail is the exact print-grid samples, decimated + final point.
-        assert tail.x[-1] == pytest.approx(5e-3)
-        reference = full["in"].values_at(tail.x)
-        np.testing.assert_allclose(tail.y, reference, rtol=0, atol=1e-12)
-        # The observed node stays at full print resolution.
-        assert len(streamed["out"]) == len(full["out"])
-
     def test_waveform_downsample_helper(self):
         wave = Waveform(np.arange(11.0), np.arange(11.0) ** 2)
         decimated = wave.downsample(4)
@@ -195,13 +184,18 @@ class TestCheckpointFile:
         assert base != campaign_fingerprint(rc_circuit, faults, shorter)
         fewer = FaultList("rc streaming faults", faults.faults[:-1])
         assert base != campaign_fingerprint(rc_circuit, fewer, _settings())
-        # Engine-only knobs never change verdicts, so toggling them must
-        # not orphan a checkpoint.
-        for neutral in ({"stream_traces": False},
-                        {"use_shared_memory": False},
-                        {"tail_downsample": 10}):
-            assert base == campaign_fingerprint(rc_circuit, faults,
-                                                _settings(**neutral))
+
+    def test_fingerprint_golden_value(self, rc_circuit):
+        """The fingerprint of a fixed campaign is pinned, so checkpoints
+        written by earlier versions (whose settings carried engine-only
+        fields the fingerprint never covered) still resume."""
+        faults = FaultList("pin")
+        faults.add(BridgingFault(1, probability=1e-7, net_a="out", net_b="0"))
+        faults.add(OpenFault(2, probability=1e-8, device="R1",
+                             terminal="pos"))
+        settings = CampaignSettings(observation_nodes=("out",))
+        assert (campaign_fingerprint(rc_circuit, faults, settings)
+                == "82374ff14103158a3252f89376c2029a")
 
     def test_load_missing_file_is_empty(self, tmp_path):
         checkpoint = CampaignCheckpoint(tmp_path / "never-written.jsonl")
@@ -327,7 +321,7 @@ class TestCheckpointResume:
         monkeypatch.setattr(FaultSimulator, "simulate_fault", poisoned)
         with pytest.raises(RuntimeError, match="injected worker crash"):
             FaultSimulator(rc_circuit, _fault_list(), _settings()).run(
-                workers=2, checkpoint=path)
+                executor=PoolExecutor(2), checkpoint=path)
         monkeypatch.undo()
 
         resumed = FaultSimulator(rc_circuit, _fault_list(),
@@ -339,19 +333,6 @@ class TestCheckpointResume:
 
 
 class TestStreamingCampaign:
-    def test_streaming_and_full_trace_verdicts_agree(self, rc_circuit):
-        streaming = FaultSimulator(rc_circuit, _fault_list(),
-                                   _settings(stream_traces=True)).run()
-        full = FaultSimulator(rc_circuit, _fault_list(),
-                              _settings(stream_traces=False)).run()
-        assert list(map(_semantic, streaming.records)) == \
-            list(map(_semantic, full.records))
-        # The point of streaming: less trace memory per simulated fault.
-        streamed_traces = [r.trace_bytes for r in streaming.records
-                           if r.trace_bytes]
-        full_traces = [r.trace_bytes for r in full.records if r.trace_bytes]
-        assert max(streamed_traces) < min(full_traces)
-
     def test_serial_parallel_equivalent_with_shared_memory(self, rc_circuit):
         serial = FaultSimulator(rc_circuit, _fault_list(),
                                 _settings()).run(executor=SerialExecutor())
@@ -366,16 +347,31 @@ class TestStreamingCampaign:
         assert all(r.payload_bytes > 0 for r in parallel.records)
         assert parallel.telemetry()["record_ipc_bytes_total"] > 0
 
-    def test_shared_memory_payload_beats_inline(self, rc_circuit):
+    def test_shared_memory_payload_beats_inline(self, rc_circuit,
+                                                monkeypatch):
         shared = FaultSimulator(rc_circuit, _fault_list(),
                                 _settings()).run(executor=PoolExecutor(2))
-        inline = FaultSimulator(
-            rc_circuit, _fault_list(),
-            _settings(use_shared_memory=False)).run(executor=PoolExecutor(2))
+        monkeypatch.setattr(streaming, "_shared_memory", None)
+        inline = FaultSimulator(rc_circuit, _fault_list(),
+                                _settings()).run(executor=PoolExecutor(2))
         assert inline.nominal_store == "inline"
         assert shared.nominal_ipc_bytes < inline.nominal_ipc_bytes
         assert list(map(_semantic, shared.records)) == \
             list(map(_semantic, inline.records))
+
+    def test_pool_campaign_falls_back_when_publish_fails(self, rc_circuit,
+                                                        monkeypatch):
+        def refuse(cls, waveforms):
+            raise OSError("read-only /dev/shm")
+
+        monkeypatch.setattr(NominalStore, "publish", classmethod(refuse))
+        serial = FaultSimulator(rc_circuit, _fault_list(),
+                                _settings()).run(executor=SerialExecutor())
+        inline = FaultSimulator(rc_circuit, _fault_list(),
+                                _settings()).run(executor=PoolExecutor(2))
+        assert inline.nominal_store == "inline"
+        assert list(map(_semantic, inline.records)) == \
+            list(map(_semantic, serial.records))
 
 
 class TestResultRobustness:
