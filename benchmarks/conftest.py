@@ -12,7 +12,9 @@ campaign benchmarks so that CI can execute every ``bench_*`` file quickly.
 Benchmarks read the :func:`smoke` and :func:`fault_budget` fixtures; in
 smoke mode the figure-level assertions that need the full fault list are
 relaxed (the run still exercises the whole pipeline and writes the results
-artefacts).
+artefacts).  Smoke artefacts go to the git-ignored
+``benchmarks/results/smoke/`` so that a smoke run never overwrites the
+committed full-size results.
 """
 
 from __future__ import annotations
@@ -52,13 +54,16 @@ def fault_budget() -> int | None:
 
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    """Where artefacts go: ``benchmarks/results`` for a full run, its
+    ``smoke`` subdirectory for a smoke run."""
+    directory = RESULTS_DIR / "smoke" if BENCH_SMOKE else RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
 
 
 @pytest.fixture(scope="session")
 def record(results_dir):
-    """Store a regenerated table/figure under ``benchmarks/results`` and echo
+    """Store a regenerated table/figure under :func:`results_dir` and echo
     it to stdout."""
 
     def _record(name: str, text: str) -> pathlib.Path:
@@ -84,7 +89,7 @@ def _git_commit() -> str:
 @pytest.fixture(scope="session")
 def record_json(results_dir):
     """Store a machine-readable benchmark summary as
-    ``benchmarks/results/BENCH_<name>.json``.
+    ``BENCH_<name>.json`` under :func:`results_dir`.
 
     The human tables of :func:`record` are for reading; these JSON
     companions are for tooling — CI uploads them as artefacts, and

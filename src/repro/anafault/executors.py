@@ -179,6 +179,9 @@ class ExecutionInfo:
     #: Fault variants stopped early because their verdict was already
     #: decided (``BatchedExecutor(early_abort=True)`` only).
     early_aborted: int = 0
+    #: Fused MOSFET evaluation rounds of a :class:`BatchedExecutor` run;
+    #: ``None`` when faults run one at a time, one round per Newton solve.
+    newton_rounds: int | None = None
     #: Scheduler-daemon counters and per-worker throughput of a
     #: :class:`~repro.anafault.remote.RemoteExecutor` run (empty for the
     #: local executors); copied onto ``CampaignResult.service``.
@@ -278,18 +281,20 @@ class BatchedExecutor:
     """Simulate the pending faults in lockstep batches of ``batch_width``.
 
     The concurrent-fault-simulation executor (conf_date_SebekeTO95): each
-    batch injects up to ``batch_width`` faults, builds one
-    :class:`~repro.spice.analysis.BatchedTransient` over the variants and
-    advances them print interval by print interval, feeding every fresh
-    print row to a per-variant
+    batch injects up to ``batch_width`` faults and builds one
+    :class:`~repro.spice.analysis.BatchedTransient` over the variants.
+    It advances them in rounds of one linear solve per variant, with one
+    fused MOSFET evaluation for all variants waiting in a round, and
+    feeds each print row, as soon as it lands, to the variant's
     :class:`~repro.anafault.StreamingDetector` — the incremental form of
     the campaign comparator's persistence scan.
 
     In the default configuration every record — verdict, detection time,
     ``max_deviation``, step counters, ``trace_bytes`` — is identical to a
-    :class:`SerialExecutor` run of the same campaign (lockstep reorders
-    which variant computes next, never what it computes; the differential
-    suite in ``tests/test_batched.py`` locks this down).  One opt-in
+    :class:`SerialExecutor` run of the same campaign (the fused pass is
+    elementwise and everything else stays per variant, so batching
+    changes which variant computes next, never what it computes; the
+    differential suite in ``tests/test_batched.py`` locks this down).  One opt-in
     lever trades part of that identity for throughput:
     ``early_abort=True`` stops a variant the moment its verdict is
     decided.  Verdict, detection time and detected signal are provably
@@ -301,13 +306,14 @@ class BatchedExecutor:
     ``SingularMatrixError`` and the ``dt_min`` floor) is evicted to the
     same failure record serial execution produces, without perturbing its
     siblings.  Adaptive-timestep campaigns batch too: each variant
-    integrates on its own adaptive step/order grid while the lockstep
-    loop synchronises on the shared print grid, so verdicts (evaluated on
-    print rows) match serial adaptive execution exactly.
+    integrates on its own adaptive step/order grid, so verdicts (evaluated
+    on print rows) match serial adaptive execution exactly.
 
     Per-record ``elapsed_seconds`` is the variant's injection time plus an
-    equal share of the batch's kernel time (lockstep work is not
+    equal share of the batch's kernel time (fused work is not
     attributable per-variant); every other telemetry field is exact.
+    ``ExecutionInfo.newton_rounds`` counts the fused rounds, so Newton
+    solves per round is the achieved fusion width.
     """
 
     name = "batched"
@@ -322,7 +328,7 @@ class BatchedExecutor:
                 emit: EmitCallback) -> ExecutionInfo:
         """Run ``plan.pending`` in lockstep batches, emitting in plan order."""
         info = ExecutionInfo(executor=self.name,
-                             batch_width=self.batch_width)
+                             batch_width=self.batch_width, newton_rounds=0)
         pending = plan.pending
         for start in range(0, len(pending), self.batch_width):
             self._execute_batch(simulator, plan, nominal, emit,
@@ -366,21 +372,18 @@ class BatchedExecutor:
                 columns[position] = {signal: run.signal_column(signal)
                                      for signal in nominal}
 
-            def observe(print_index: int, live: list[int]) -> list[int]:
-                stops = []
-                for position in live:
-                    row = batch.runs[position].data[print_index]
-                    detector = detectors[position]
-                    detector.feed({
-                        signal: (0.0 if column is None else row[column])
-                        for signal, column in columns[position].items()})
-                    if self.early_abort and detector.decided:
-                        stops.append(position)
-                return stops
+            def observe(position: int, row_index: int) -> bool:
+                row = batch.runs[position].data[row_index]
+                detector = detectors[position]
+                detector.feed({
+                    signal: (0.0 if column is None else row[column])
+                    for signal, column in columns[position].items()})
+                return self.early_abort and detector.decided
 
             batch.run(observe)
             share = (_time.perf_counter() - kernel_start) / len(variants)
             info.early_aborted += len(batch.aborted)
+            info.newton_rounds += batch.rounds
 
             for position, (index, fault, injection_elapsed) in \
                     enumerate(variants):

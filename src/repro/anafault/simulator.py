@@ -243,6 +243,10 @@ class CampaignResult:
     #: Fault variants the batched executor stopped early because their
     #: verdict was already decided (0 unless ``early_abort`` was on).
     early_aborted: int = 0
+    #: Fused MOSFET evaluation rounds of this run's fault transients
+    #: (``ExecutionInfo.newton_rounds``); ``None`` when faults ran one at a
+    #: time, one round per Newton solve.
+    newton_rounds: int | None = None
     #: Scheduler-daemon counters of a remotely executed campaign —
     #: ``leases_granted``/``leases_expired``/``retries``/``duplicates``
     #: and the per-worker throughput table (empty for local executors).
@@ -310,6 +314,16 @@ class CampaignResult:
                     for r in self._live_records() if not r.reloaded)
         return total + int(self.nominal_stats.get("newton_iterations", 0))
 
+    def total_newton_rounds(self) -> int:
+        """MOSFET evaluation rounds of this run, nominal included: equal to
+        :meth:`total_newton_iterations` when faults ran one at a time,
+        fewer under a batched executor, which fuses the device evaluation
+        of every waiting variant into one round."""
+        if self.newton_rounds is None:
+            return self.total_newton_iterations()
+        return self.newton_rounds + int(
+            self.nominal_stats.get("newton_iterations", 0))
+
     def telemetry(self) -> dict:
         """Per-campaign workload summary built from the per-record data.
 
@@ -348,6 +362,7 @@ class CampaignResult:
             "newton_iterations_total": self.total_newton_iterations(),
             "newton_iterations_mean": (sum(iterations) / count) if count else 0.0,
             "newton_iterations_max": max(iterations, default=0),
+            "newton_rounds": self.total_newton_rounds(),
             "workers": self.workers,
             "executor": self.executor,
             "shard_index": self.shard_index,
@@ -672,8 +687,8 @@ class FaultSimulator:
             # CI leg: REPRO_FORCE_BATCHED=<width> substitutes the batched
             # executor for the serial default, so the whole tier-1 suite
             # doubles as a batched-vs-serial differential harness — for
-            # fixed *and* adaptive campaigns (lockstep synchronises
-            # adaptive variants on the shared print grid).  Only the
+            # fixed *and* adaptive campaigns (each batched variant keeps
+            # its own adaptive grid).  Only the
             # defaultable case is forced (explicit executors keep their
             # path).
             forced = os.environ.get("REPRO_FORCE_BATCHED", "").strip()
@@ -779,6 +794,7 @@ class FaultSimulator:
         result.nominal_ipc_bytes = info.nominal_ipc_bytes
         result.batch_width = info.batch_width
         result.early_aborted = info.early_aborted
+        result.newton_rounds = info.newton_rounds
         result.service = dict(getattr(info, "service", None) or {})
         result.total_elapsed_seconds = _time.perf_counter() - start
         return result

@@ -2,22 +2,26 @@
 
 A fault campaign simulates K mostly-identical circuits: each variant is
 the nominal circuit with one device perturbed.  This module advances K
-:class:`~repro.spice.analysis.transient.TransientRun` instances print
-interval by print interval ("lockstep"), which enables the classic
-concurrent-fault-simulation wins of Sebeke/Teixeira/Ohletz without
-changing per-variant semantics:
+:class:`~repro.spice.analysis.transient.TransientRun` instances in
+*rounds*, which enables the classic concurrent-fault-simulation wins of
+Sebeke/Teixeira/Ohletz without changing per-variant semantics:
 
-* **early abort** — an observer watching the freshly produced print rows
-  can stop a variant as soon as its verdict is decided (the campaign
-  layer plugs the incremental persistence scan in here);
-* **eviction** — a variant that fails to converge mid-batch is removed
-  and reported, without perturbing its siblings (each variant owns its
-  state and solver cache).
+* **fused device evaluation** — in every round each live variant runs
+  until it needs its next MOSFET stamp; one
+  :meth:`~repro.spice.devices.mosfet.MosfetBank.stamp_iteration` pass
+  over the fused banks then evaluates the MOSFETs of all waiting variants
+  and scatters each slice into that variant's own system;
+* **early abort** — an observer watching each print row as it lands can
+  stop a variant as soon as its verdict is decided (the campaign layer
+  plugs the incremental persistence scan in here);
+* **eviction** — a variant that fails to converge is removed and
+  reported, without perturbing its siblings (each variant owns its state,
+  banks and solver cache).
 
 Every variant performs exactly the arithmetic a serial
-:meth:`TransientAnalysis.run` would — lockstep only reorders *which
-variant* computes next, never *what* it computes — so batched and serial
-campaign records are identical by construction.
+:meth:`TransientAnalysis.run` would — the fused pass is elementwise, and
+the assembly, solve and step control stay per variant — so batched and
+serial campaign records are identical by construction.
 ``docs/batching.md`` walks through the whole design.
 """
 
@@ -26,18 +30,25 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import (AnalysisError, ConvergenceError, SingularMatrixError)
+from ..devices.mosfet import MosfetBank
 from .transient import TransientRun
 
 
+#: :meth:`BatchedTransient._resume` result of a variant that left the batch.
+_LEFT = object()
+
+
 class BatchedTransient:
-    """Advance K fault-variant transients in lockstep.
+    """Advance K fault-variant transients round by round.
 
     ``analyses`` are fully configured :class:`TransientAnalysis` instances
-    (one per variant).  Fixed-step variants advance exactly one print row
-    per :meth:`TransientRun.advance`; adaptive variants integrate on their
-    own step/order grid and may emit several print rows per advance, so
-    the lockstep loop only advances a variant whose ``output_index`` still
-    trails the shared print row.  All variants must produce the same print
+    (one per variant).  Each variant is driven through the generator
+    :meth:`TransientRun.advancing`, which yields once per linear solve.
+    A round resumes every live variant up to its next solve; variants that
+    asked for a MOSFET stamp are then stamped in one fused pass.  So each
+    round is exactly one linear solve per live variant, whatever its
+    timestep mode, step size or Newton iteration — variants are not
+    synchronised on print rows.  All variants must produce the same print
     grid (same ``tstop`` / ``tstep``), which a campaign guarantees by
     construction.
 
@@ -45,7 +56,8 @@ class BatchedTransient:
     a finished :class:`TransientRun` (in :attr:`runs`), an early abort
     (index in :attr:`aborted`, partial run still in :attr:`runs`), or an
     eviction (exception in :attr:`errors`, slot in :attr:`runs` is
-    ``None``).
+    ``None``).  :attr:`rounds` counts the rounds, i.e. the fused device
+    evaluations.
     """
 
     def __init__(self, analyses):
@@ -62,6 +74,9 @@ class BatchedTransient:
         self.aborted: set[int] = set()
         #: Shared print grid (after :meth:`begin`).
         self.times: np.ndarray | None = None
+        #: Rounds driven by :meth:`run`: one linear solve per live variant
+        #: and one fused MOSFET evaluation each.
+        self.rounds = 0
         self._begun = False
 
     @property
@@ -93,56 +108,85 @@ class BatchedTransient:
         self._begun = True
         return self
 
-    def _evict(self, index: int, error: Exception) -> None:
-        self.errors[index] = error
-        self.runs[index] = None
-
     def run(self, observe=None) -> "BatchedTransient":
         """Drive every variant to completion, eviction, or early abort.
 
-        ``observe(print_index, live)`` — when given — is called after each
-        print row lands (including row 0, the initial state), with the
-        sorted list of live variant indices; any indices it returns are
-        stopped early (recorded in :attr:`aborted`, their partial
-        :class:`TransientRun` kept for statistics).  A variant raising
-        :class:`ConvergenceError`/:class:`SingularMatrixError` mid-batch
+        ``observe(index, row)`` — when given — is called for every print
+        row of variant ``index`` as soon as it lands, in row order and
+        starting with row 0 (the initial state); a truthy return stops the
+        variant before its next advance (recorded in :attr:`aborted`, its
+        partial :class:`TransientRun` kept for statistics).  A variant
+        raising :class:`ConvergenceError`/:class:`SingularMatrixError`
         (including the ``dt_min`` floor's ``TransientError``) is evicted
         into :attr:`errors`; any other exception propagates, as it would
         from a serial run.
         """
         if not self._begun:
             self.begin()
-        live = {index for index, run in enumerate(self.runs)
-                if run is not None}
-        if observe is not None and live:
-            self._stop(live, observe(0, sorted(live)))
-        print_index = 1
+        # Live variant -> [suspended advance generator or None, next row
+        # to observe].
+        live: dict[int, list] = {}
+        for index, run in enumerate(self.runs):
+            if run is not None and not self._observe(index, 0, 1, observe):
+                live[index] = [None, 1]
+        fused_banks: tuple = ()
+        fused = None
         while live:
-            for index in sorted(live):
-                # An adaptive variant may have emitted several print rows
-                # in one advance; only poke it while it still trails the
-                # shared print row (fixed variants always advance here).
-                if self.runs[index].output_index > print_index:
+            solved = False
+            waiting = []
+            for index in list(live):
+                request = self._resume(index, live, observe)
+                if request is _LEFT:
                     continue
-                try:
-                    self.runs[index].advance()
-                except (ConvergenceError, SingularMatrixError) as exc:
-                    self._evict(index, exc)
-                    live.discard(index)
-            if observe is not None and live:
-                self._stop(live, observe(print_index, sorted(live)))
-            # An exhausted adaptive variant may still hold print rows the
-            # observer has not been shown (one advance can emit many rows
-            # ahead of the lockstep cursor); keep it live — idle but
-            # observed — until the cursor has swept its whole grid.
-            grid_done = print_index + 1 >= len(self.times)
-            live = {index for index in live
-                    if not (self.runs[index].exhausted and grid_done)}
-            print_index += 1
+                solved = True
+                if request is not None:
+                    waiting.append(request)
+            if solved:
+                self.rounds += 1
+            if waiting:
+                banks = tuple(bank for bank, _, _ in waiting)
+                if banks != fused_banks:
+                    # The waiting set only shrinks (a variant leaves), so
+                    # a batch builds at most K fused layouts.
+                    fused_banks, fused = banks, MosfetBank.fuse(banks)
+                fused.stamp_iteration([system for _, system, _ in waiting],
+                                      [state for _, _, state in waiting])
         return self
 
-    def _stop(self, live: set, stops) -> None:
-        for index in set(stops or ()):
-            if index in live:
-                live.discard(index)
+    def _resume(self, index: int, live: dict, observe):
+        """Run variant ``index`` up to its next linear solve and return
+        its MOSFET stamp request (``None`` when the solve needs none), or
+        :data:`_LEFT` once the variant finished, aborted or was evicted."""
+        run = self.runs[index]
+        entry = live[index]
+        while True:
+            if entry[0] is None:
+                entry[0] = run.advancing()
+            try:
+                return next(entry[0])
+            except StopIteration as stop:
+                more = stop.value
+            except (ConvergenceError, SingularMatrixError) as exc:
+                self.errors[index] = exc
+                self.runs[index] = None
+                del live[index]
+                return _LEFT
+            entry[0] = None
+            landed = run.output_index
+            if self._observe(index, entry[1], landed, observe):
                 self.aborted.add(index)
+                del live[index]
+                return _LEFT
+            entry[1] = landed
+            if not more:
+                del live[index]
+                return _LEFT
+
+    def _observe(self, index: int, first: int, stop: int, observe) -> bool:
+        """Show rows ``first..stop-1`` of variant ``index``; True = abort."""
+        if observe is None:
+            return False
+        for row in range(first, stop):
+            if observe(index, row):
+                return True
+        return False

@@ -15,6 +15,7 @@ import numpy as np
 
 from ...units import DEFAULT_TEMPERATURE_C
 from ..devices.base import CompanionCapacitorBank, Device as _Device
+from ..devices.mosfet import Mosfet, MosfetBank
 from ..netlist import Circuit
 from .backends import (MNASystem, SolverBackend, make_lu_solver,
                        select_backend)
@@ -119,25 +120,28 @@ class SimState:
 class MNABuilder:
     """Binds a circuit to matrix indices and assembles MNA systems.
 
-    Besides the legacy :meth:`build` (full reassembly from scratch), the
-    builder offers the Newton fast path used by
-    :func:`~repro.spice.analysis.newton.solve_newton`:
+    The builder owns the struct-of-arrays device state of one analysis:
+    a :class:`~repro.spice.devices.mosfet.MosfetBank` over the MOSFETs
+    (channel physics, Newton limiting history, last linearisation) and a
+    :class:`~repro.spice.devices.base.CompanionCapacitorBank` over every
+    capacitance (companion stamp and history).  One Newton solve
+    (:func:`~repro.spice.analysis.newton.newton`) then runs in two parts:
 
     * :meth:`assemble_constant` stamps everything that is fixed across the
       Newton iterations of one solve (linear devices, source values at the
-      present time, companion-model history) into a cached base system; all
-      companion capacitances go through one vectorized
-      :class:`~repro.spice.devices.base.CompanionCapacitorBank` scatter.
-    * :meth:`build_iteration` copies the base into a reused work system and
-      stamps only the nonlinear device linearisations on top.
+      present time, companion-model history) into a cached base system;
+    * each iteration copies the base into a reused work system
+      (:meth:`iteration_system`), has the MOSFET bank stamped on top —
+      alone, or fused with the banks of other fault variants — and adds the
+      remaining nonlinear devices (:meth:`stamp_scalar_nonlinear`).
+      :meth:`build_iteration` is that sequence for this builder alone.
 
     The representation of the base/work systems (dense matrix vs sparse COO
     accumulation) is delegated to a solver backend
     (:mod:`repro.spice.analysis.backends`); ``solver_backend`` is ``"auto"``
     (select by matrix size), ``"dense"``, ``"sparse"`` or an explicit
     :class:`~repro.spice.analysis.backends.SolverBackend` instance.  The
-    legacy :meth:`build` and the complex-valued :meth:`build_ac` always use
-    dense systems regardless of the backend.
+    complex-valued :meth:`build_ac` always uses a dense system.
     """
 
     def __init__(self, circuit: Circuit, options: SimulationOptions | None = None,
@@ -156,29 +160,21 @@ class MNABuilder:
         self.num_nodes = len(self.node_names)
         self.size = next_index
         self.nonlinear_devices = [d for d in self.devices if d.is_nonlinear()]
-        # Group nonlinear devices into vectorized per-iteration banks where
-        # the device type provides one; the rest stay on the scalar path.
-        bank_groups: dict[type, list] = {}
-        self._scalar_nonlinear = []
-        for device in self.nonlinear_devices:
-            bank_cls = type(device).ITERATION_BANK
-            if bank_cls is None:
-                self._scalar_nonlinear.append(device)
-            else:
-                bank_groups.setdefault(bank_cls, []).append(device)
-        self.iteration_banks = [cls(group)
-                                for cls, group in bank_groups.items()]
+        mosfets = [d for d in self.nonlinear_devices if isinstance(d, Mosfet)]
+        #: MOSFET channels of the circuit (``None`` without MOSFETs).
+        self.mosfet_bank = MosfetBank(mosfets, self.size) if mosfets else None
+        #: Nonlinear devices stamped one by one (diodes, switches).
+        self.scalar_nonlinear = [d for d in self.nonlinear_devices
+                                 if not isinstance(d, Mosfet)]
         entries = []
         for device in self.devices:
             entries.extend(device.companion_entries())
         self.cap_bank = CompanionCapacitorBank(entries)
-        # Devices the transient driver must still call accept_timestep on:
-        # everything with a non-default override whose state is not fully
-        # covered by the companion bank.
+        # Devices with dynamic state of their own besides the companion
+        # capacitances (the bank commits those).
         self._accept_devices = [
             d for d in self.devices
-            if type(d).accept_timestep is not _Device.accept_timestep
-            and not d.companion_only_accept]
+            if type(d).accept_timestep is not _Device.accept_timestep]
         self._diagonal = np.arange(self.num_nodes)
         if isinstance(solver_backend, SolverBackend):
             self.backend = solver_backend
@@ -196,14 +192,20 @@ class MNABuilder:
     def new_state(self, mode: str) -> SimState:
         return SimState(self.size, self.options, mode)
 
-    def build(self, state: SimState) -> MNASystem:
-        """Assemble the (real) MNA system for the present state."""
-        system = MNASystem(self.size)
-        state.limited = False
+    def init_state(self, state: SimState) -> None:
+        """Start the transient history at the initial solution ``state.x``:
+        companion history, MOSFET limiting history and per-device state."""
+        self.cap_bank.init_state(state)
+        if self.mosfet_bank is not None:
+            self.mosfet_bank.reset()
         for device in self.devices:
-            device.stamp(system, state)
-        self._stamp_gmin(system, state)
-        return system
+            device.init_state(state)
+
+    def build(self, state: SimState):
+        """Assemble the full system for the present state in one go (also
+        refreshes the device linearisations, as the AC analysis needs)."""
+        self.assemble_constant(state)
+        return self.build_iteration(state)
 
     def assemble_constant(self, state: SimState):
         """Assemble the iteration-constant base system for one Newton solve."""
@@ -216,31 +218,28 @@ class MNABuilder:
         self._stamp_gmin(base, state)
         return base
 
-    def build_iteration(self, state: SimState):
-        """Base system plus the present nonlinear linearisations.
-
-        Requires a preceding :meth:`assemble_constant` for this solve.
-        """
+    def iteration_system(self, state: SimState):
+        """Start one Newton iteration: the work system as a copy of the
+        base, with the limiting flag cleared.  Requires a preceding
+        :meth:`assemble_constant` for this solve."""
         work = self._work
         work.copy_from(self._base)
         state.limited = False
-        for bank in self.iteration_banks:
-            bank.stamp_iteration(work, state)
-        for device in self._scalar_nonlinear:
-            device.stamp_iteration(work, state)
         return work
 
-    def begin_iterations(self) -> None:
-        """Load per-device Newton history into the iteration banks; call
-        once before the build_iteration loop of a solve."""
-        for bank in self.iteration_banks:
-            bank.load_history()
+    def stamp_scalar_nonlinear(self, system, state: SimState) -> None:
+        """Stamp the nonlinear devices outside the MOSFET bank."""
+        for device in self.scalar_nonlinear:
+            device.stamp_iteration(system, state)
 
-    def end_iterations(self) -> None:
-        """Flush bank history and linearisations back to the devices; call
-        once after the build_iteration loop of a solve (also on failure)."""
-        for bank in self.iteration_banks:
-            bank.store_history()
+    def build_iteration(self, state: SimState):
+        """Base system plus the present nonlinear linearisations, for this
+        builder alone.  Requires a preceding :meth:`assemble_constant`."""
+        work = self.iteration_system(state)
+        if self.mosfet_bank is not None:
+            self.mosfet_bank.stamp_iteration((work,), (state,))
+        self.stamp_scalar_nonlinear(work, state)
+        return work
 
     def accept_timestep(self, state: SimState) -> None:
         """Commit the accepted transient sub-step to device history.

@@ -48,7 +48,7 @@ from ..netlist import Circuit, normalize_node, GROUND
 from ..waveform import Waveform
 from .dc import solve_operating_point
 from .mna import MNABuilder, SimulationOptions
-from .newton import solve_newton
+from .newton import drive, newton
 
 #: Hard ceiling on the number of print points (guards against pathological
 #: ``tstop/tstep`` ratios allocating unbounded trace memory).
@@ -576,12 +576,12 @@ class TransientRun:
     """One transient analysis, drivable print interval by print interval.
 
     ``TransientAnalysis.run()`` is literally this object driven to
-    completion, so advancing several ``TransientRun`` instances in lockstep
-    (the batched fault-campaign driver of
-    :mod:`repro.spice.analysis.batched`) performs per-variant arithmetic
-    that is operation-for-operation identical to running each analysis
-    serially — the foundation of the batched-vs-serial differential
-    guarantee.
+    completion, so advancing several ``TransientRun`` instances round by
+    round (the batched fault-campaign driver of
+    :mod:`repro.spice.analysis.batched`, through the generator
+    :meth:`advancing`) performs per-variant arithmetic that is
+    operation-for-operation identical to running each analysis serially —
+    the foundation of the batched-vs-serial differential guarantee.
 
     Construction solves the initial state and allocates the output buffers;
     :meth:`advance` integrates up to the next print point and records it;
@@ -594,9 +594,7 @@ class TransientRun:
     points by interpolation, so one :meth:`advance` takes accepted steps
     until *at least one* new print row has been produced — a single call
     may emit several rows (a large step interpolating across many print
-    intervals) and :attr:`output_index` jumps accordingly.  Lockstep
-    drivers must therefore only advance a run whose ``output_index`` has
-    not yet passed the row they are about to read.
+    intervals) and :attr:`output_index` jumps accordingly.
     """
 
     def __init__(self, analysis: TransientAnalysis):
@@ -611,8 +609,7 @@ class TransientRun:
         state.use_ic = analysis.use_ic
         state.x = x0.copy()
         state.time = 0.0
-        for device in builder.devices:
-            device.init_state(state)
+        builder.init_state(state)
         self.state = state
 
         self.times = analysis.print_grid()
@@ -733,14 +730,23 @@ class TransientRun:
         ``False`` once the grid is exhausted.  Raises
         :class:`TransientError` (or :class:`SingularMatrixError` /
         :class:`ConvergenceError` from deeper layers) exactly as the
-        one-shot ``run()`` would; the run is dead afterwards.
+        one-shot ``run()`` would; the run is dead afterwards.  This is
+        :meth:`advancing` driven with K = 1.
         """
+        return drive(self.advancing())
+
+    def advancing(self):
+        """:meth:`advance` as a generator: it yields once per linear solve,
+        with the MOSFET stamp request of the Newton iteration
+        (:func:`~repro.spice.analysis.newton.newton`), and returns what
+        :meth:`advance` returns.  The batched driver resumes the waiting
+        generators of several variants round by round."""
         if self._output_index >= len(self.times):
             return False
         if self._adaptive:
-            self._advance_adaptive()
+            yield from self._advance_adaptive()
         else:
-            self._advance_fixed()
+            yield from self._advance_fixed()
             self._write(self._output_index, self.state.x)
             self._output_index += 1
         return self._output_index < len(self.times)
@@ -948,12 +954,13 @@ class TransientRun:
             value = value * (t_out - ts[i]) + coeffs[i]
         return value
 
-    def _advance_adaptive(self) -> None:
+    def _advance_adaptive(self):
         """Take accepted steps until at least one new print row is emitted.
 
         This is the legacy one-shot ``_run_adaptive`` loop body made
-        incremental (so lockstep batch drivers can interleave variants),
-        plus the variable-order machinery: the step attempt consults
+        incremental, as a generator yielding at each linear solve (so the
+        batch driver can interleave variants), plus the variable-order
+        machinery: the step attempt consults
         :meth:`_effective_order`, BDF steps publish the predictor
         polynomial to the device stamps through the simulation state, and
         each accepted step lets the order controller reconsider.  At
@@ -1004,14 +1011,14 @@ class TransientRun:
                 state.time = saved_time + dt
                 try:
                     if self._linear:
-                        self._solve_linear_step()
+                        yield from self._solve_linear_step()
                         self._newton_iterations += 1
                     else:
                         guess = saved_x
                         if topts.predictor_guess and predicted is not None:
                             guess = predicted
-                        solve_newton(self.builder, state, x0=guess,
-                                     max_iterations=options.itl4)
+                        yield from newton(self.builder, state, x0=guess,
+                                          max_iterations=options.itl4)
                         self._newton_iterations += \
                             state.last_newton_iterations
                 except (ConvergenceError, SingularMatrixError) as exc:
@@ -1141,12 +1148,12 @@ class TransientRun:
                 self._write(self._output_index, state.x)
                 self._output_index += 1
 
-    def _advance_fixed(self) -> None:
+    def _advance_fixed(self):
         """One print interval of the legacy fixed-step driver.
 
-        This is the historical ``_run_fixed`` loop body, verbatim: one
-        internal sub-step per print interval, halved on Newton failure and
-        grown back gently.  Deliberately bit-identical to the historical
+        This is the historical ``_run_fixed`` loop body, verbatim, as a
+        generator yielding at each linear solve: one internal sub-step per
+        print interval, halved on Newton failure and grown back gently.  Deliberately bit-identical to the historical
         behaviour (campaign checkpoints rely on it).
         """
         analysis = self.analysis
@@ -1177,11 +1184,11 @@ class TransientRun:
                 state.time += dt
                 try:
                     if self._linear:
-                        self._solve_linear_step()
+                        yield from self._solve_linear_step()
                         self._newton_iterations += 1
                     else:
-                        solve_newton(self.builder, state, x0=saved_x,
-                                     max_iterations=options.itl4)
+                        yield from newton(self.builder, state, x0=saved_x,
+                                          max_iterations=options.itl4)
                         self._newton_iterations += \
                             state.last_newton_iterations
                     accepted = True
@@ -1210,7 +1217,7 @@ class TransientRun:
             if dt >= self._step and self._step < analysis.tstep:
                 self._step = min(self._step * 2.0, analysis.tstep)
 
-    def _solve_linear_step(self) -> None:
+    def _solve_linear_step(self):
         """Advance a fully linear circuit by one sub-step.
 
         The MNA matrix of a linear circuit depends only on the integration
@@ -1221,8 +1228,10 @@ class TransientRun:
         cache is bounded: the adaptive driver produces a changing (but,
         thanks to step quantisation, mostly recurring) set of step sizes,
         and least recently used factorisations are evicted beyond
-        ``TransientOptions.solver_cache_size``.
+        ``TransientOptions.solver_cache_size``.  Yields once, like a
+        Newton iteration without a device stamp.
         """
+        yield None
         state = self.state
         base = self.builder.assemble_constant(state)
         key = (state.integ_c0, state.integ_c1, state.gmin)

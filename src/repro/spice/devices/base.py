@@ -3,28 +3,22 @@
 Every device knows how to *stamp* itself into a modified-nodal-analysis (MNA)
 system for the analysis modes supported by the simulator:
 
-``stamp(system, state)``
-    Large-signal stamp used by the operating point, DC sweep and transient
-    analyses.  Nonlinear devices linearise themselves around the present
-    Newton guess found in ``state.x``.
+``stamp_constant(system, state)``
+    Contributions that do not depend on the Newton iterate ``state.x`` and
+    therefore stay fixed across all iterations of one solve (linear device
+    stamps, time-dependent source values).  The default calls ``stamp``
+    for linear devices.
+``stamp_iteration(system, state)``
+    Contributions that must be re-linearised around the present iterate
+    (nonlinear device characteristics).
 ``stamp_ac(system, state)``
     Small-signal stamp used by the AC analysis.  Nonlinear devices use the
     conductances stored during the last operating-point stamp.
 
-The Newton fast path additionally splits the large-signal stamp in two:
-
-``stamp_constant(system, state)``
-    Contributions that do not depend on the Newton iterate ``state.x`` and
-    therefore stay fixed across all iterations of one solve (linear device
-    stamps, time-dependent source values, companion-model history).
-``stamp_iteration(system, state)``
-    Contributions that must be re-linearised around the present iterate
-    (nonlinear device characteristics).
-
-``stamp_constant + stamp_iteration + companion capacitances`` must always be
-equivalent to ``stamp``; companion capacitances announced through
-:meth:`Device.companion_entries` are stamped once per solve by the builder's
-:class:`CompanionCapacitorBank` instead of per device.
+Companion capacitances announced through :meth:`Device.companion_entries`
+are stamped once per solve by the builder's :class:`CompanionCapacitorBank`,
+which also owns their history; MOSFET channels are stamped by the
+builder's :class:`~repro.spice.devices.mosfet.MosfetBank`.
 
 Node and branch matrix indices are resolved once per analysis by
 :meth:`Device.bind` and :meth:`Device.assign_branches`.
@@ -47,18 +41,6 @@ class Device:
     PREFIX = "?"
     #: Number of terminals; subclasses with a variable count override checks.
     NUM_TERMINALS: int | None = None
-    #: True when :meth:`accept_timestep` commits nothing beyond the
-    #: companion capacitances announced via :meth:`companion_entries`; the
-    #: builder then handles the commit through its vectorized bank instead
-    #: of calling the device.
-    companion_only_accept = False
-    #: Optional class implementing vectorized per-iteration stamping for all
-    #: devices of this type at once (``bank_cls(devices)`` with
-    #: ``stamp_iteration(system, state)`` / ``load_history()`` /
-    #: ``store_history()``).  ``None`` keeps the scalar
-    #: :meth:`stamp_iteration` path.
-    ITERATION_BANK: type | None = None
-
     def __init__(self, name: str, nodes: Sequence[str]):
         if not name:
             raise NetlistError("device name must not be empty")
@@ -200,43 +182,17 @@ class CompanionCapacitor:
     """A linear capacitance stamped via its companion model.
 
     Used both by the explicit :class:`~repro.spice.devices.passives.Capacitor`
-    device and by the MOSFET terminal capacitances.  The companion model uses
-    the integration coefficients published by the transient driver in the
-    simulation state (``state.integ_c0``, ``state.integ_c1``).  For
-    fixed-leading-coefficient BDF steps the driver additionally publishes
-    the predictor solution/derivative vectors (``state.integ_pred_x`` /
-    ``state.integ_pred_dx``); the equivalent current then comes from the
-    predicted branch voltage and its derivative instead of the one-step
-    ``v_prev``/``i_prev`` history, while ``geq`` stays
-    ``integ_c0 * C`` — the matrix depends on the leading coefficient only,
-    at every order.
+    device and by the MOSFET terminal and diode junction capacitances.
+    The object only describes the element — its capacitance and, for an
+    explicit capacitor, the ``ic=`` initial voltage honoured under
+    ``use_ic``; the transient companion stamp and its history belong to
+    the builder's :class:`CompanionCapacitorBank`.
     """
 
-    def __init__(self, capacitance: float):
+    def __init__(self, capacitance: float,
+                 initial_voltage: float | None = None):
         self.capacitance = float(capacitance)
-        self.v_prev = 0.0
-        self.i_prev = 0.0
-
-    def init_state(self, v_initial: float) -> None:
-        self.v_prev = v_initial
-        self.i_prev = 0.0
-
-    def _ieq(self, state, pos: int, neg: int, geq: float) -> float:
-        if state.integ_pred_x is not None:
-            # BDF corrector: i = C*x' with x' = dpred + c0*(v - vpred).
-            v_pred = state.pred(pos) - state.pred(neg)
-            dv_pred = state.pred_d(pos) - state.pred_d(neg)
-            return self.capacitance * dv_pred - geq * v_pred
-        return -(geq * self.v_prev + state.integ_c1 * self.i_prev)
-
-    def stamp_tran(self, system, state, pos: int, neg: int) -> None:
-        if self.capacitance <= 0.0:
-            return
-        geq = state.integ_c0 * self.capacitance
-        ieq = self._ieq(state, pos, neg, geq)
-        stamp_conductance(system, pos, neg, geq)
-        # Branch current i = geq*v + ieq flows from pos to neg.
-        stamp_current_source(system, pos, neg, ieq)
+        self.initial_voltage = initial_voltage
 
     def stamp_ac(self, system, state, pos: int, neg: int) -> None:
         if self.capacitance <= 0.0:
@@ -244,40 +200,36 @@ class CompanionCapacitor:
         admittance = 1j * state.omega * self.capacitance
         stamp_conductance(system, pos, neg, admittance)
 
-    def accept(self, state, pos: int, neg: int) -> None:
-        if self.capacitance <= 0.0:
-            return
-        v_now = state.v(pos) - state.v(neg)
-        geq = state.integ_c0 * self.capacitance
-        ieq = self._ieq(state, pos, neg, geq)
-        self.i_prev = geq * v_now + ieq
-        self.v_prev = v_now
-
-    def current(self, state, pos: int, neg: int) -> float:
-        """Current through the capacitor at the present (accepted) solution."""
-        if self.capacitance <= 0.0:
-            return 0.0
-        return self.i_prev
-
 
 class CompanionCapacitorBank:
-    """Vectorized transient stamp of every companion capacitance at once.
+    """Transient companion model of every capacitance at once, and the
+    owner of the companion history (``v_prev``/``i_prev``).
 
     The bank precomputes the scatter index map of all capacitor stamps
     (matrix entries ``(p,p)``, ``(n,n)``, ``(p,n)``, ``(n,p)`` and the two
     RHS entries, with ground terminals dropped).  Each Newton solve then
     fills the shared MNA system with two vectorized ``system.scatter``
     calls (dense: ``np.add.at``; sparse: one appended COO chunk) instead of
-    hundreds of per-device Python calls.  The individual
-    :class:`CompanionCapacitor` objects remain the owners of the companion
-    history (``v_prev``/``i_prev``); the bank gathers it on every stamp.
+    hundreds of per-device Python calls.
+
+    The companion model uses the integration coefficients published by
+    the transient driver in the simulation state (``state.integ_c0``,
+    ``state.integ_c1``).  For fixed-leading-coefficient BDF steps the
+    driver additionally publishes the predictor solution/derivative
+    vectors (``state.integ_pred_x`` / ``state.integ_pred_dx``); the
+    equivalent current then comes from the predicted branch voltage and
+    its derivative instead of the one-step ``v_prev``/``i_prev`` history,
+    while ``geq`` stays ``integ_c0 * C`` — the matrix depends on the
+    leading coefficient only, at every order.
     """
 
     def __init__(self, entries):
         entries = [(cap, pos, neg) for cap, pos, neg in entries
                    if cap.capacitance > 0.0]
-        self.caps = [cap for cap, _, _ in entries]
-        self.capacitance = np.array([cap.capacitance for cap in self.caps])
+        self.capacitance = np.array([cap.capacitance for cap, _, _ in entries])
+        initial = [cap.initial_voltage for cap, _, _ in entries]
+        self._has_ic = np.array([v is not None for v in initial], dtype=bool)
+        self._ic = np.array([0.0 if v is None else float(v) for v in initial])
         m_rows: list[int] = []
         m_cols: list[int] = []
         m_cap: list[int] = []
@@ -293,8 +245,8 @@ class CompanionCapacitorBank:
                     m_cols.append(col)
                     m_cap.append(k)
                     m_sign.append(sign)
-            # stamp_current_source(pos, neg, ieq): extracted at pos,
-            # injected at neg.
+            # Current source (pos, neg, ieq): extracted at pos, injected
+            # at neg.
             if pos >= 0:
                 r_rows.append(pos)
                 r_cap.append(k)
@@ -316,28 +268,34 @@ class CompanionCapacitorBank:
         self._neg_clipped = np.maximum(neg, 0)
         self._pos_grounded = pos < 0
         self._neg_grounded = neg < 0
+        #: Branch voltage and current of the last accepted timestep.
+        self.v_prev = np.zeros(len(entries))
+        self.i_prev = np.zeros(len(entries))
 
     def __len__(self) -> int:
-        return len(self.caps)
+        return len(self.capacitance)
 
-    def _history(self) -> tuple[np.ndarray, np.ndarray]:
-        count = len(self.caps)
-        v_prev = np.fromiter((cap.v_prev for cap in self.caps), float, count)
-        i_prev = np.fromiter((cap.i_prev for cap in self.caps), float, count)
-        return v_prev, i_prev
+    def init_state(self, state) -> None:
+        """Start the history at the initial solution: each branch voltage
+        (an ``ic=`` value instead under ``use_ic``), zero current."""
+        v_initial = self._gather(state.x)
+        if state.use_ic:
+            v_initial = np.where(self._has_ic, self._ic, v_initial)
+        self.v_prev = v_initial
+        self.i_prev = np.zeros(len(self))
 
     def _ieq(self, state, geq: np.ndarray) -> np.ndarray:
         if state.integ_pred_x is not None:
+            # BDF corrector: i = C*x' with x' = dpred + c0*(v - vpred).
             v_pred = self._gather(state.integ_pred_x)
             dv_pred = self._gather(state.integ_pred_dx)
             return self.capacitance * dv_pred - geq * v_pred
-        v_prev, i_prev = self._history()
-        return -(geq * v_prev + state.integ_c1 * i_prev)
+        return -(geq * self.v_prev + state.integ_c1 * self.i_prev)
 
     def stamp_tran(self, system, state) -> None:
-        """Equivalent of calling ``CompanionCapacitor.stamp_tran`` on every
-        registered capacitance."""
-        if not self.caps:
+        """Stamp every companion model: conductance ``geq`` between the
+        terminals and the current ``ieq`` from pos to neg."""
+        if not len(self):
             return
         geq = state.integ_c0 * self.capacitance
         ieq = self._ieq(state, geq)
@@ -350,18 +308,12 @@ class CompanionCapacitorBank:
         v_neg = np.where(self._neg_grounded, 0.0, x[self._neg_clipped])
         return v_pos - v_neg
 
-    def _branch_voltages(self, state) -> np.ndarray:
-        return self._gather(state.x)
-
     def accept(self, state) -> None:
-        """Equivalent of calling ``CompanionCapacitor.accept`` on every
-        registered capacitance: commit the accepted timestep to history."""
-        if not self.caps:
+        """Commit the accepted timestep to the history."""
+        if not len(self):
             return
         geq = state.integ_c0 * self.capacitance
         ieq = self._ieq(state, geq)
-        v_now = self._branch_voltages(state)
-        i_now = geq * v_now + ieq
-        for cap, v, i in zip(self.caps, v_now.tolist(), i_now.tolist()):
-            cap.v_prev = v
-            cap.i_prev = i
+        v_now = self._gather(state.x)
+        self.i_prev = geq * v_now + ieq
+        self.v_prev = v_now

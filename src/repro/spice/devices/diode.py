@@ -25,7 +25,6 @@ class Diode(Device):
 
     PREFIX = "D"
     NUM_TERMINALS = 2
-    companion_only_accept = True
 
     def __init__(self, name, anode, cathode, model: str = "", area: float = 1.0):
         super().__init__(name, [anode, cathode])
@@ -77,11 +76,6 @@ class Diode(Device):
         limited = pnjlim(vd, self._v_last, vt, v_crit)
         return limited
 
-    def stamp(self, system, state) -> None:
-        self.stamp_iteration(system, state)
-        if state.mode == "tran":
-            self._companion.stamp_tran(system, state, self._idx[0], self._idx[1])
-
     def stamp_iteration(self, system, state) -> None:
         """Linearised junction only; the capacitance is bank-stamped."""
         anode, cathode = self._idx
@@ -106,12 +100,7 @@ class Diode(Device):
         self._companion.stamp_ac(system, state, anode, cathode)
 
     def init_state(self, state) -> None:
-        v0 = state.v(self._idx[0]) - state.v(self._idx[1])
-        self._companion.init_state(v0)
-        self._v_last = v0
-
-    def accept_timestep(self, state) -> None:
-        self._companion.accept(state, self._idx[0], self._idx[1])
+        self._v_last = state.v(self._idx[0]) - state.v(self._idx[1])
 
     def current(self, state) -> float:
         vd = state.v(self._idx[0]) - state.v(self._idx[1])

@@ -4,17 +4,19 @@ The model covers cutoff / linear / saturation operation, body effect,
 channel-length modulation and fixed terminal capacitances (gate overlap,
 gate oxide and junction capacitances).  It is the workhorse device for the
 VCO test case of the paper.
+
+The physics has one implementation, the struct-of-arrays
+:class:`MosfetBank`; a :class:`Mosfet` object describes one device and
+reads its linearisation back from the bank of the analysis that bound it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from ...errors import ModelError
 from ...units import EPS0, EPS_SIO2, parse_value
-from .base import CompanionCapacitor, Device, stamp_current_source
+from .base import CompanionCapacitor, Device
 from .limits import fetlim, limvds
 
 #: Default model parameters for the level-1 model (SPICE defaults).
@@ -33,17 +35,32 @@ DEFAULT_MOS_PARAMS = {
     "is": 1e-14,
 }
 
+#: Keys of a linearisation record, in :attr:`MosfetBank.op` order.
+OP_KEYS = ("ids", "gm", "gds", "gmbs", "vgs", "vds", "vbs", "reverse")
+
+#: Linearisation record of a device that has not been stamped yet.
+_UNSTAMPED_OP = dict.fromkeys(OP_KEYS[:-1], 0.0) | {"reverse": False}
+
 
 class Mosfet(Device):
     """MOSFET ``M<name> drain gate source bulk model W=... L=...``.
 
     Geometry parameters ``w`` and ``l`` are in metres, ``ad``/``as_`` in
     square metres and ``pd``/``ps`` in metres, following SPICE conventions.
+
+    The channel is evaluated by the :class:`MosfetBank` of the analysis
+    that bound the device, which also owns its Newton limiting history and
+    its last linearisation; the device keeps a reference to that bank for
+    AC stamping and operating-point reporting (the bank holds none back).
     """
 
     PREFIX = "M"
     NUM_TERMINALS = 4
-    companion_only_accept = True
+
+    #: Bank of the analysis that last bound this device, and the device's
+    #: slot in it (``None`` until an analysis builds one).
+    _bank: "MosfetBank | None" = None
+    _slot = 0
 
     def __init__(self, name, drain, gate, source, bulk, model: str,
                  w=10e-6, l=2e-6, ad=0.0, as_=0.0, pd=0.0, ps=0.0,
@@ -60,13 +77,15 @@ class Mosfet(Device):
         # Resolved model parameters (filled in by prepare()).
         self.polarity = 1.0
         self.params = dict(DEFAULT_MOS_PARAMS)
-        # Newton history for voltage limiting.
-        self._vgs_last = 0.0
-        self._vds_last = 0.0
-        # Last linearisation (for AC analysis).
-        self._op = {"ids": 0.0, "gm": 0.0, "gds": 0.0, "gmbs": 0.0,
-                    "vgs": 0.0, "vds": 0.0, "vbs": 0.0, "reverse": False}
         self._caps: dict[str, CompanionCapacitor] = {}
+
+    def __getstate__(self):
+        # The bank belongs to the analysis that bound this device: copies
+        # and pickles of a circuit start unbound.
+        state = self.__dict__.copy()
+        state.pop("_bank", None)
+        state.pop("_slot", None)
+        return state
 
     # ------------------------------------------------------------------
     # Preparation
@@ -84,8 +103,6 @@ class Mosfet(Device):
         params = dict(DEFAULT_MOS_PARAMS)
         params.update(model.params)
         self.params = params
-        self._vgs_last = 0.0
-        self._vds_last = 0.0
         self._build_capacitances()
 
     def _build_capacitances(self) -> None:
@@ -112,137 +129,17 @@ class Mosfet(Device):
                    "db": (d, b), "sb": (s, b)}
         return mapping[key]
 
-    # ------------------------------------------------------------------
-    # Large-signal evaluation (in the polarity-normalised frame)
-    # ------------------------------------------------------------------
-    def _threshold(self, vbs: float) -> tuple[float, float]:
-        """Return (von, dvon_dvbs) including body effect."""
-        p = self.params
-        vto = float(p["vto"]) * (1.0 if self.polarity > 0 else -1.0)
-        # Normalise so that vto is positive in the evaluation frame.
-        vto = abs(float(p["vto"]))
-        gamma = float(p["gamma"])
-        phi = max(float(p["phi"]), 0.1)
-        if gamma == 0.0:
-            return vto, 0.0
-        if vbs <= 0.0:
-            sqrt_term = math.sqrt(phi - vbs)
-            von = vto + gamma * (sqrt_term - math.sqrt(phi))
-            dvon = -gamma / (2.0 * sqrt_term)
-        else:
-            sqrt_phi = math.sqrt(phi)
-            denom = 1.0 + vbs / (2.0 * phi)
-            sqrt_term = sqrt_phi / denom
-            von = vto + gamma * (sqrt_term - sqrt_phi)
-            dvon = -gamma * sqrt_phi / (2.0 * phi * denom * denom)
-        return von, dvon
-
-    def _drain_current(self, vgs: float, vds: float, vbs: float,
-                       threshold: tuple[float, float] | None = None
-                       ) -> tuple[float, float, float, float]:
-        """Return (ids, gm, gds, gmbs) for vds >= 0 in the normalised frame.
-
-        ``threshold`` short-circuits the body-effect evaluation when the
-        caller already computed ``(von, dvon)`` for this ``vbs``.
-        """
-        p = self.params
-        beta = float(p["kp"]) * self.multiplier * self.w / self.l
-        lam = float(p["lambda"])
-        von, dvon = threshold if threshold is not None else self._threshold(vbs)
-        vgst = vgs - von
-        if vgst <= 0.0:
-            return 0.0, 0.0, 0.0, 0.0
-        clm = 1.0 + lam * vds
-        if vgst <= vds:
-            # Saturation.
-            ids = 0.5 * beta * vgst * vgst * clm
-            gm = beta * vgst * clm
-            gds = 0.5 * beta * vgst * vgst * lam
-        else:
-            # Linear (triode).
-            ids = beta * (vgst - 0.5 * vds) * vds * clm
-            gm = beta * vds * clm
-            gds = beta * (vgst - vds) * clm + beta * (vgst - 0.5 * vds) * vds * lam
-        gmbs = -gm * dvon
-        return ids, gm, gds, gmbs
-
-    # ------------------------------------------------------------------
-    # Stamping
-    # ------------------------------------------------------------------
-    def stamp(self, system, state) -> None:
-        self.stamp_iteration(system, state)
-        if state.mode == "tran":
-            for key, cap in self._caps.items():
-                pos, neg = self._cap_nodes(key)
-                cap.stamp_tran(system, state, pos, neg)
-
     def companion_entries(self):
         for key, cap in self._caps.items():
             pos, neg = self._cap_nodes(key)
             yield cap, pos, neg
 
-    def stamp_iteration(self, system, state) -> None:
-        """Channel linearisation only; capacitances are bank-stamped."""
-        d, g, s, b = self._idx
-        pol = self.polarity
-        # Inlined terminal-voltage reads (this is the hottest loop of the
-        # whole simulator; a state.v() call per terminal is measurable).
-        x = state.x
-        vd = float(x[d]) if d >= 0 else 0.0
-        vg = float(x[g]) if g >= 0 else 0.0
-        vs = float(x[s]) if s >= 0 else 0.0
-        vb = float(x[b]) if b >= 0 else 0.0
-        vds = pol * (vd - vs)
-        reverse = vds < 0.0
-        if reverse:
-            # Exchange drain and source roles for the evaluation.
-            e_d, e_s = s, d
-            vds_f = -vds
-            vgs_f = pol * (vg - vd)
-            vbs_f = pol * (vb - vd)
-        else:
-            e_d, e_s = d, s
-            vds_f = vds
-            vgs_f = pol * (vg - vs)
-            vbs_f = pol * (vb - vs)
-
-        # Newton step limiting on the evaluation-frame voltages.
-        threshold = self._threshold(vbs_f)
-        vgs_requested, vds_requested = vgs_f, vds_f
-        vgs_f = fetlim(vgs_f, self._vgs_last, threshold[0])
-        vds_f = limvds(vds_f, self._vds_last)
-        if (abs(vgs_f - vgs_requested) > 1e-6 + 1e-3 * abs(vgs_requested)
-                or abs(vds_f - vds_requested) > 1e-6 + 1e-3 * abs(vds_requested)):
-            state.limited = True
-        self._vgs_last = vgs_f
-        self._vds_last = vds_f
-
-        ids, gm, gds, gmbs = self._drain_current(vgs_f, vds_f, vbs_f,
-                                                 threshold=threshold)
-        self._op = {"ids": ids, "gm": gm, "gds": gds, "gmbs": gmbs,
-                    "vgs": vgs_f, "vds": vds_f, "vbs": vbs_f,
-                    "reverse": reverse}
-
-        # Equivalent current of the linearised characteristic
-        # (in the evaluation frame, flowing from e_d to e_s).
-        ieq = ids - gm * vgs_f - gds * vds_f - gmbs * vbs_f
-
-        gds_tot = gds + state.gmin
-        # Conductance stamps: identical pattern for NMOS/PMOS and for
-        # normal/reverse operation (the frame change already swapped e_d/e_s).
-        system.add(e_d, g, gm)
-        system.add(e_d, e_d, gds_tot)
-        system.add(e_d, e_s, -(gm + gds_tot + gmbs))
-        system.add(e_d, b, gmbs)
-        system.add(e_s, g, -gm)
-        system.add(e_s, e_d, -gds_tot)
-        system.add(e_s, e_s, gm + gds_tot + gmbs)
-        system.add(e_s, b, -gmbs)
-        stamp_current_source(system, e_d, e_s, pol * ieq)
-
+    # ------------------------------------------------------------------
+    # Small-signal stamp and reporting (read from the bank)
+    # ------------------------------------------------------------------
     def stamp_ac(self, system, state) -> None:
         d, g, s, b = self._idx
-        op = self._op
+        op = self.operating_point
         e_d, e_s = (s, d) if op["reverse"] else (d, s)
         gm, gds, gmbs = op["gm"], op["gds"] + state.gmin, op["gmbs"]
         system.add(e_d, g, gm)
@@ -257,114 +154,75 @@ class Mosfet(Device):
             pos, neg = self._cap_nodes(key)
             cap.stamp_ac(system, state, pos, neg)
 
-    # ------------------------------------------------------------------
-    # Transient history
-    # ------------------------------------------------------------------
-    def init_state(self, state) -> None:
-        for key, cap in self._caps.items():
-            pos, neg = self._cap_nodes(key)
-            cap.init_state(state.v(pos) - state.v(neg))
-        self._vgs_last = 0.0
-        self._vds_last = 0.0
-
-    def accept_timestep(self, state) -> None:
-        for key, cap in self._caps.items():
-            pos, neg = self._cap_nodes(key)
-            cap.accept(state, pos, neg)
-
-    # ------------------------------------------------------------------
-    # Reporting helpers
-    # ------------------------------------------------------------------
     @property
     def operating_point(self) -> dict:
         """Last linearisation values (ids, gm, gds, gmbs ...)."""
-        return dict(self._op)
+        if self._bank is None:
+            return dict(_UNSTAMPED_OP)
+        return self._bank.operating_point(self._slot)
 
     def drain_current(self, state) -> float:
         """Drain current at the present solution (positive into the drain for
-        an NMOS in normal operation)."""
-        d, g, s, b = self._idx
-        pol = self.polarity
-        vds = pol * (state.v(d) - state.v(s))
-        if vds >= 0.0:
-            vgs = pol * (state.v(g) - state.v(s))
-            vbs = pol * (state.v(b) - state.v(s))
-            ids, _, _, _ = self._drain_current(vgs, vds, vbs)
-            return pol * ids
-        vgd = pol * (state.v(g) - state.v(d))
-        vbd = pol * (state.v(b) - state.v(d))
-        ids, _, _, _ = self._drain_current(vgd, -vds, vbd)
-        return -pol * ids
-
-
-def _fetlim_vec(v_new: np.ndarray, v_old: np.ndarray,
-                vto: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.spice.devices.limits.fetlim` (identical
-    piecewise arithmetic, evaluated elementwise)."""
-    vt_old = v_old - vto
-    vt_new = v_new - vto
-    upper = 2.0 * vt_old + 2.0
-    both = np.where(vt_new > upper, upper,
-                    np.where((vt_old > 2.0) & (vt_new < 0.5 * vt_old),
-                             0.5 * vt_old, vt_new))
-    leaving = np.maximum(vt_new, -0.5)
-    entering = np.minimum(vt_new, 2.0)
-    result = np.where(vt_old >= 0.0,
-                      np.where(vt_new >= 0.0, both, leaving),
-                      np.where(vt_new >= 0.0, entering, vt_new))
-    return result + vto
-
-
-def _limvds_vec(v_new: np.ndarray, v_old: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.spice.devices.limits.limvds`."""
-    rising = v_new > v_old
-    high = np.where(rising, np.minimum(v_new, 3.0 * v_old + 2.0),
-                    np.where(v_new < 3.5, np.maximum(v_new, 2.0), v_new))
-    low = np.where(rising, np.minimum(v_new, 4.0), np.maximum(v_new, -0.5))
-    return np.where(v_old >= 3.5, high, low)
+        an NMOS in normal operation); needs a bound device."""
+        if self._bank is None:
+            raise ModelError(f"device {self.name!r} is not bound to an "
+                             "analysis")
+        return float(self._bank.drain_currents(state.x)[self._slot])
 
 
 class MosfetBank:
-    """Vectorized Newton-iteration stamp of all level-1 MOSFETs at once.
+    """Level-1 MOSFET physics in struct-of-arrays form, and the owner of
+    every MOSFET's Newton state.
 
-    The bank precomputes the stamp index map of every channel stamp (the
-    eight matrix slots ``{d,s} x {g,d,s,b}`` and the two RHS entries per
-    device, ground terminals dropped) so that each Newton iteration gathers
-    the terminal voltages, evaluates the Shichman-Hodges equations and the
-    SPICE limiting functions in array form, and fills the shared system with
-    two vectorized ``system.scatter`` calls.  The arithmetic mirrors
-    :meth:`Mosfet.stamp_iteration` operation for operation, so the two paths
-    produce bitwise-identical stamps.
+    An :class:`~repro.spice.analysis.mna.MNABuilder` makes one bank over
+    the MOSFETs of its circuit.  The bank precomputes the stamp index map
+    of every channel stamp (the eight matrix slots ``{d,s} x {g,d,s,b}``
+    and the two RHS entries per device, ground terminals dropped); each
+    Newton iteration then gathers the terminal voltages, evaluates the
+    Shichman-Hodges equations and the SPICE limiting functions in array
+    form, and fills the system with two ``system.scatter`` calls.  The
+    limiting history (:attr:`vgs_last`/:attr:`vds_last`) and the last
+    linearisation (:attr:`op`) live here and nowhere else.
 
-    Device objects stay the owners of the limiting history and the last
-    linearisation (``_op``) *between* solves: :meth:`load_history` gathers
-    them when a solve starts and :meth:`store_history` writes them back when
-    it ends, which keeps the scalar path (legacy ``build``, the AC refresh,
-    operating-point reporting) fully consistent.
+    :meth:`fuse` concatenates the banks of several fault variants into one
+    bank whose :meth:`stamp_iteration` evaluates all of them in a single
+    pass and scatters each member's slice into that member's own system.
+    Every operation is elementwise, so each device sees the same
+    floating-point operations in the same order as in a pass over its own
+    bank alone: fused and per-variant stamps are bit-identical.
     """
 
-    def __init__(self, mosfets):
-        self.mosfets = list(mosfets)
-        count = len(self.mosfets)
-        idx = np.array([m._idx for m in self.mosfets], dtype=int)
+    def __init__(self, mosfets, size: int):
+        """Bank over ``mosfets`` (bound, prepared) of a system with
+        ``size`` unknowns; each device is pointed at its slot."""
+        mosfets = list(mosfets)
+        count = len(mosfets)
+        self.count = count
+        self.size = int(size)
+        idx = np.array([m._idx for m in mosfets], dtype=int).reshape(count, 4)
         self._gather_clip = np.maximum(idx, 0)
         self._gather_ground = idx < 0
         d, g, s, b = idx.T
-        self.pol = np.array([m.polarity for m in self.mosfets])
+        self.pol = np.array([m.polarity for m in mosfets])
 
         def param(key):
-            return np.array([float(m.params[key]) for m in self.mosfets])
+            return np.array([float(m.params[key]) for m in mosfets])
 
         self.beta = np.array([float(m.params["kp"]) * m.multiplier * m.w / m.l
-                              for m in self.mosfets])
+                              for m in mosfets])
         self.lam = param("lambda")
         self.vto = np.abs(param("vto"))
         self.gamma = param("gamma")
         self.phi = np.maximum(param("phi"), 0.1)
         self.sqrt_phi = np.sqrt(self.phi)
+        #: Newton limiting history (evaluation-frame vgs/vds of the last
+        #: stamp); :meth:`reset` zeroes it.
         self.vgs_last = np.zeros(count)
         self.vds_last = np.zeros(count)
-        self._last_op: tuple | None = None
+        #: Last linearisation: ``(arrays, start)`` where ``arrays`` are the
+        #: :data:`OP_KEYS` arrays of the (possibly fused) pass that stamped
+        #: this bank and ``start`` is this bank's first element in them.
+        self.op: tuple | None = None
 
         # Matrix scatter map: slot k of device i contributes value V[k, i]
         # at (rows[k][i], cols[k][i]); ground entries are dropped up front.
@@ -380,8 +238,8 @@ class MosfetBank:
                     m_dev.append(dev)
         self._m_index = (np.asarray(m_rows, dtype=int),
                          np.asarray(m_cols, dtype=int))
-        self._m_flat = (np.asarray(m_slot, dtype=int) * count
-                        + np.asarray(m_dev, dtype=int))
+        self._m_slot = np.asarray(m_slot, dtype=int)
+        self._m_dev = np.asarray(m_dev, dtype=int)
         r_rows, r_slot, r_dev = [], [], []
         for slot, rows in enumerate((d, s)):
             for dev in range(count):
@@ -390,40 +248,105 @@ class MosfetBank:
                     r_slot.append(slot)
                     r_dev.append(dev)
         self._r_rows = np.asarray(r_rows, dtype=int)
-        self._r_flat = (np.asarray(r_slot, dtype=int) * count
-                        + np.asarray(r_dev, dtype=int))
+        self._r_slot = np.asarray(r_slot, dtype=int)
+        self._r_dev = np.asarray(r_dev, dtype=int)
+        self._layout((self,))
+        for slot, mosfet in enumerate(mosfets):
+            mosfet._bank = self
+            mosfet._slot = slot
+
+    def _layout(self, members) -> None:
+        """Gather maps of a pass over ``members``: where each member's
+        devices, matrix values and RHS values sit in the pass's arrays."""
+        total = sum(member.count for member in members)
+        starts = np.cumsum([0] + [member.count for member in members]).tolist()
+        #: Member banks of a pass; a bank made by the constructor is its
+        #: own single member.  A bank holds its members only when fused,
+        #: so no bank references itself.
+        self._members = None if members == (self,) else members
+        self._starts = starts
+        self._m_gather = np.concatenate([
+            member._m_slot * total + start + member._m_dev
+            for member, start in zip(members, starts)])
+        self._r_gather = np.concatenate([
+            member._r_slot * total + start + member._r_dev
+            for member, start in zip(members, starts)])
+        self._m_bounds = np.cumsum(
+            [0] + [len(member._m_dev) for member in members]).tolist()
+        self._r_bounds = np.cumsum(
+            [0] + [len(member._r_dev) for member in members]).tolist()
+
+    @classmethod
+    def fuse(cls, banks) -> "MosfetBank":
+        """One bank evaluating every bank of ``banks`` in a single pass.
+
+        The members may differ in device count, unknowns and parameters.
+        The fused bank holds its members; they hold nothing of it.
+        """
+        banks = tuple(banks)
+        if len(banks) == 1:
+            return banks[0]
+        fused = cls.__new__(cls)
+        fused.count = sum(bank.count for bank in banks)
+        # Unknown offsets: member k's voltages follow those of members < k
+        # in the concatenated solution vector.
+        offsets = np.cumsum([0] + [bank.size for bank in banks])
+        fused._gather_clip = np.concatenate([
+            bank._gather_clip + offset for bank, offset in zip(banks, offsets)])
+        fused._gather_ground = np.concatenate(
+            [bank._gather_ground for bank in banks])
+        for name in ("pol", "beta", "lam", "vto", "gamma", "phi",
+                     "sqrt_phi"):
+            setattr(fused, name,
+                    np.concatenate([getattr(bank, name) for bank in banks]))
+        fused._layout(banks)
+        return fused
 
     def __len__(self) -> int:
-        return len(self.mosfets)
+        return self.count
+
+    def reset(self) -> None:
+        """Forget the limiting history (start of a transient run)."""
+        self.vgs_last = np.zeros(self.count)
+        self.vds_last = np.zeros(self.count)
 
     # ------------------------------------------------------------------
-    def load_history(self) -> None:
-        """Gather the limiting history from the device objects."""
-        count = len(self.mosfets)
-        self.vgs_last = np.fromiter((m._vgs_last for m in self.mosfets),
-                                    float, count)
-        self.vds_last = np.fromiter((m._vds_last for m in self.mosfets),
-                                    float, count)
+    def operating_point(self, slot: int) -> dict:
+        """Last linearisation of device ``slot`` as a dict of floats."""
+        if self.op is None:
+            return dict(_UNSTAMPED_OP)
+        arrays, start = self.op
+        values = [array[start + slot] for array in arrays]
+        record = {key: float(value)
+                  for key, value in zip(OP_KEYS[:-1], values)}
+        record["reverse"] = bool(values[-1])
+        return record
 
-    def store_history(self) -> None:
-        """Write the limiting history and the last linearisation back to the
-        device objects (AC analysis and reporting read them there)."""
-        for index, mosfet in enumerate(self.mosfets):
-            mosfet._vgs_last = float(self.vgs_last[index])
-            mosfet._vds_last = float(self.vds_last[index])
-        if self._last_op is None:
-            return
-        ids, gm, gds, gmbs, vgs, vds, vbs, reverse = self._last_op
-        for index, mosfet in enumerate(self.mosfets):
-            mosfet._op = {"ids": float(ids[index]), "gm": float(gm[index]),
-                          "gds": float(gds[index]), "gmbs": float(gmbs[index]),
-                          "vgs": float(vgs[index]), "vds": float(vds[index]),
-                          "vbs": float(vbs[index]),
-                          "reverse": bool(reverse[index])}
+    def drain_currents(self, x: np.ndarray) -> np.ndarray:
+        """Drain current of every device at the solution ``x`` (positive
+        into the drain for an NMOS in normal operation; no limiting)."""
+        vgs, vds, vbs, reverse = self._frame(x)
+        von, dvon = self._threshold(vbs)
+        ids = self._drain_current(vgs, vds, von, dvon)[0]
+        return np.where(reverse, -self.pol * ids, self.pol * ids)
 
     # ------------------------------------------------------------------
+    def _frame(self, x: np.ndarray):
+        """Evaluation-frame ``(vgs, vds, vbs, reverse)`` at ``x``: drain
+        and source exchange roles where the channel is reversed."""
+        voltages = np.where(self._gather_ground, 0.0, x[self._gather_clip])
+        vd, vg, vs, vb = voltages.T
+        pol = self.pol
+        vds = pol * (vd - vs)
+        reverse = vds < 0.0
+        v_ref = np.where(reverse, vd, vs)
+        vds_f = np.where(reverse, -vds, vds)
+        vgs_f = pol * (vg - v_ref)
+        vbs_f = pol * (vb - v_ref)
+        return vgs_f, vds_f, vbs_f, reverse
+
     def _threshold(self, vbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`Mosfet._threshold` (von and dvon/dvbs)."""
+        """Threshold ``von`` and ``dvon/dvbs`` including body effect."""
         negative = vbs <= 0.0
         # Clamps keep the unused lane of each where() free of sqrt/division
         # warnings; the selected lane is untouched.
@@ -440,8 +363,8 @@ class MosfetBank:
         return np.where(no_body, self.vto, von), np.where(no_body, 0.0, dvon)
 
     def _drain_current(self, vgs, vds, von, dvon):
-        """Vectorized :meth:`Mosfet._drain_current` for the limited
-        evaluation-frame voltages."""
+        """``(ids, gm, gds, gmbs)`` for ``vds >= 0`` in the evaluation
+        frame: cutoff, saturation or linear (triode) region."""
         vgst = vgs - von
         clm = 1.0 + self.lam * vds
         saturated = vgst <= vds
@@ -459,56 +382,69 @@ class MosfetBank:
         gmbs = -gm * dvon
         return ids, gm, gds, gmbs
 
-    def stamp_iteration(self, system, state) -> None:
-        """Stamp every channel linearisation around ``state.x`` at once."""
-        voltages = np.where(self._gather_ground, 0.0,
-                            state.x[self._gather_clip])
-        vd, vg, vs, vb = voltages.T
-        pol = self.pol
-        vds = pol * (vd - vs)
-        reverse = vds < 0.0
-        # Exchange drain and source roles where the channel is reversed.
-        v_ref = np.where(reverse, vd, vs)
-        vds_f = np.where(reverse, -vds, vds)
-        vgs_f = pol * (vg - v_ref)
-        vbs_f = pol * (vb - v_ref)
+    def stamp_iteration(self, systems, states) -> None:
+        """Stamp every member's channel linearisations around its
+        ``state.x`` into its system.
+
+        ``systems`` and ``states`` hold one entry per member, in member
+        order.  Each member's limiting flag (``state.limited``), history
+        and linearisation come from its own slice of the pass only.
+        """
+        members = self._members or (self,)
+        if len(members) == 1:
+            x = states[0].x
+            vgs_last, vds_last = self.vgs_last, self.vds_last
+            gmin = states[0].gmin
+        else:
+            x = np.concatenate([state.x for state in states])
+            vgs_last = np.concatenate([member.vgs_last for member in members])
+            vds_last = np.concatenate([member.vds_last for member in members])
+            gmins = [state.gmin for state in states]
+            gmin = (gmins[0] if gmins.count(gmins[0]) == len(gmins)
+                    else np.repeat(gmins, np.diff(self._starts)))
+        vgs_f, vds_f, vbs_f, reverse = self._frame(x)
 
         # Newton step limiting on the evaluation-frame voltages.
         von, dvon = self._threshold(vbs_f)
         vgs_req, vds_req = vgs_f, vds_f
-        vgs_f = _fetlim_vec(vgs_f, self.vgs_last, von)
-        vds_f = _limvds_vec(vds_f, self.vds_last)
+        vgs_f = fetlim(vgs_f, vgs_last, von)
+        vds_f = limvds(vds_f, vds_last)
         limited = ((np.abs(vgs_f - vgs_req) > 1e-6 + 1e-3 * np.abs(vgs_req))
                    | (np.abs(vds_f - vds_req) > 1e-6 + 1e-3 * np.abs(vds_req)))
-        if limited.any():
-            state.limited = True
-        self.vgs_last = vgs_f
-        self.vds_last = vds_f
 
         ids, gm, gds, gmbs = self._drain_current(vgs_f, vds_f, von, dvon)
-        self._last_op = (ids, gm, gds, gmbs, vgs_f, vds_f, vbs_f, reverse)
+        op = (ids, gm, gds, gmbs, vgs_f, vds_f, vbs_f, reverse)
 
         # Equivalent current of the linearised characteristic (evaluation
         # frame, flowing from the effective drain to the effective source).
         ieq = ids - gm * vgs_f - gds * vds_f - gmbs * vbs_f
-        gds_tot = gds + state.gmin
+        gds_tot = gds + gmin
         total = gm + gds_tot + gmbs
-        # Slot values match Mosfet.stamp_iteration: slots are
-        # (d,g),(d,d),(d,s),(d,b),(s,g),(s,d),(s,s),(s,b).
+        # Slots are (d,g),(d,d),(d,s),(d,b),(s,g),(s,d),(s,s),(s,b); the
+        # frame change already exchanged drain and source where reversed.
         v_dg = np.where(reverse, -gm, gm)
         v_dd = np.where(reverse, total, gds_tot)
         v_ds = -np.where(reverse, gds_tot, total)
         v_db = np.where(reverse, -gmbs, gmbs)
         values = np.concatenate((v_dg, v_dd, v_ds, v_db,
-                                 -v_dg, -v_dd, -v_ds, -v_db))
-        system.scatter(self._m_index[0], self._m_index[1],
-                       values[self._m_flat])
+                                 -v_dg, -v_dd, -v_ds, -v_db))[self._m_gather]
         # RHS: current pol*ieq extracted at the effective drain, injected at
         # the effective source.
-        i_rhs = pol * ieq
+        i_rhs = self.pol * ieq
         r_d = np.where(reverse, i_rhs, -i_rhs)
-        values_rhs = np.concatenate((r_d, -r_d))
-        system.scatter_rhs(self._r_rows, values_rhs[self._r_flat])
+        values_rhs = np.concatenate((r_d, -r_d))[self._r_gather]
 
-
-Mosfet.ITERATION_BANK = MosfetBank
+        starts, m_bounds, r_bounds = self._starts, self._m_bounds, \
+            self._r_bounds
+        for k, (member, system, state) in enumerate(
+                zip(members, systems, states)):
+            lo, hi = starts[k], starts[k + 1]
+            if limited[lo:hi].any():
+                state.limited = True
+            member.vgs_last = vgs_f[lo:hi]
+            member.vds_last = vds_f[lo:hi]
+            member.op = (op, lo)
+            system.scatter(member._m_index[0], member._m_index[1],
+                           values[m_bounds[k]:m_bounds[k + 1]])
+            system.scatter_rhs(member._r_rows,
+                               values_rhs[r_bounds[k]:r_bounds[k + 1]])

@@ -46,7 +46,6 @@ class Capacitor(Device):
 
     PREFIX = "C"
     NUM_TERMINALS = 2
-    companion_only_accept = True
 
     def __init__(self, name: str, node_pos: str, node_neg: str, value,
                  ic: float | None = None):
@@ -55,37 +54,22 @@ class Capacitor(Device):
         if self.capacitance < 0.0:
             raise NetlistError(f"capacitor {name!r} has negative value")
         self.initial_voltage = None if ic is None else parse_value(ic)
-        self._companion = CompanionCapacitor(self.capacitance)
+        self._companion = CompanionCapacitor(self.capacitance,
+                                             self.initial_voltage)
 
     def prepare(self, circuit) -> None:
-        self._companion = CompanionCapacitor(self.capacitance)
-
-    def init_state(self, state) -> None:
-        if self.initial_voltage is not None and state.use_ic:
-            v0 = self.initial_voltage
-        else:
-            v0 = state.v(self._idx[0]) - state.v(self._idx[1])
-        self._companion.init_state(v0)
+        self._companion = CompanionCapacitor(self.capacitance,
+                                             self.initial_voltage)
 
     def stamp(self, system, state) -> None:
-        if state.mode != "tran":
-            return  # open circuit at DC
-        self._companion.stamp_tran(system, state, self._idx[0], self._idx[1])
-
-    def stamp_constant(self, system, state) -> None:
-        """The companion stamp is handled by the builder's capacitor bank."""
+        """Open circuit at DC; in transient the builder's companion bank
+        stamps the capacitance."""
 
     def companion_entries(self):
         return ((self._companion, self._idx[0], self._idx[1]),)
 
     def stamp_ac(self, system, state) -> None:
         self._companion.stamp_ac(system, state, self._idx[0], self._idx[1])
-
-    def accept_timestep(self, state) -> None:
-        self._companion.accept(state, self._idx[0], self._idx[1])
-
-    def current(self, state) -> float:
-        return self._companion.current(state, self._idx[0], self._idx[1])
 
 
 class Inductor(Device):

@@ -24,9 +24,11 @@ serial reference:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import json
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -45,16 +47,22 @@ from repro.anafault import (
     ToleranceSettings,
     WaveformComparator,
 )
+from repro.anafault import inject_fault
 from repro.anafault.cli import main as cli_main
+from repro.cat import CATFlow
+from repro.circuits import OUTPUT_NODE, build_vco
 from repro.circuits.library import build_cmos_inverter, build_rc_lowpass
 from repro.errors import CampaignError, SingularMatrixError, TransientError
-from repro.lift import BridgingFault, FaultList, OpenFault, ParametricFault
+from repro.lift import (BridgingFault, FaultList, OpenFault, ParametricFault,
+                        StuckOpenFault)
 from repro.spice import Waveform
 from repro.spice.analysis import (
     BatchedTransient,
+    MNABuilder,
     TransientAnalysis,
     TransientOptions,
 )
+from repro.spice.devices.mosfet import Mosfet, MosfetBank
 from repro.spice.writer import write_netlist_file
 
 # ---------------------------------------------------------------------------
@@ -121,6 +129,19 @@ def _assert_identical(circuit, faults, settings, width, **kwargs):
     assert ([_semantic(r) for r in batched.records]
             == [_semantic(r) for r in serial.records])
     return serial, batched
+
+
+def _mosfet_variants() -> list:
+    """MOSFET circuits whose banks differ in unknowns, parameters and
+    device count: VCO variants with an open that adds an unknown, a W
+    change and a stuck-open transistor, plus a two-transistor inverter."""
+    vco = build_vco()
+    faults = (OpenFault(1, device="M1", terminal="drain"),
+              ParametricFault(2, device="M5", parameter="w",
+                              relative_change=0.5),
+              StuckOpenFault(3, device="M9", terminal="source"))
+    return ([inject_fault(vco, fault) for fault in faults]
+            + [build_cmos_inverter(input_voltage=2.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +345,20 @@ class TestStreamingDetector:
 # Divergence: one variant fails, its siblings don't notice
 # ---------------------------------------------------------------------------
 
+def _poison(run, error: Exception, at_index: int) -> None:
+    """Make ``run`` raise ``error`` once its transient reaches print row
+    ``at_index``: the batch driver advances a variant through
+    :meth:`TransientRun.advancing`, so that is the step poisoned."""
+    original = run.advancing
+
+    def advancing():
+        if run.output_index >= at_index:
+            raise error
+        return (yield from original())
+
+    run.advancing = advancing
+
+
 def _poisoned_batch(position: int, error: Exception, at_index: int):
     """A :class:`BatchedTransient` whose variant ``position`` raises
     ``error`` once its transient reaches print row ``at_index`` — the
@@ -334,14 +369,7 @@ def _poisoned_batch(position: int, error: Exception, at_index: int):
             super().begin()
             run = self.runs[position]
             if run is not None:
-                original = run.advance
-
-                def advance():
-                    if run.output_index >= at_index:
-                        raise error
-                    return original()
-
-                run.advance = advance
+                _poison(run, error, at_index)
             return self
 
     return _Poisoned
@@ -397,32 +425,173 @@ class TestDivergence:
     def test_spice_level_eviction_leaves_siblings_bit_identical(self):
         """Below the campaign layer: evicting one variant of a
         :class:`BatchedTransient` leaves the sibling waveforms
-        ``array_equal`` to their solo runs."""
-        circuits = [build_rc_lowpass(capacitance=c)
-                    for c in (1e-6, 2e-6, 5e-7)]
-        solo = [TransientAnalysis(c, tstop=5e-3, tstep=5e-5,
-                                  use_ic=True).run() for c in circuits]
-        analyses = [TransientAnalysis(c, tstop=5e-3, tstep=5e-5, use_ic=True)
-                    for c in circuits]
-        batch = BatchedTransient(analyses)
+        ``array_equal`` to their solo runs — on MOSFET circuits, whose
+        devices the surviving siblings keep evaluating in fused passes."""
+        circuits = _mosfet_variants()[:3]
+        kwargs = dict(tstop=6e-7, tstep=1e-8, use_ic=True)
+        solo = [TransientAnalysis(c, **kwargs).run() for c in circuits]
+        batch = BatchedTransient([TransientAnalysis(c, **kwargs)
+                                  for c in circuits])
         batch.begin()
-        run = batch.runs[1]
-        original = run.advance
-
-        def poisoned():
-            if run.output_index >= 30:
-                raise SingularMatrixError("poisoned variant")
-            return original()
-
-        run.advance = poisoned
+        _poison(batch.runs[1], SingularMatrixError("poisoned variant"), 30)
         batch.run()
         assert batch.runs[1] is None
         assert isinstance(batch.errors[1], SingularMatrixError)
         for position in (0, 2):
             result = batch.runs[position].finish()
-            assert np.array_equal(result.waveform("out").y,
-                                  solo[position].waveform("out").y)
+            for node in result.nodes:
+                assert np.array_equal(result.waveform(node).y,
+                                      solo[position].waveform(node).y)
             assert result.stats == solo[position].stats
+
+
+# ---------------------------------------------------------------------------
+# Fused device evaluation: one pass over K banks == K separate passes
+# ---------------------------------------------------------------------------
+
+def _stamped_variants(fuse: bool) -> list[tuple]:
+    """Two Newton iterations of every :func:`_mosfet_variants` circuit
+    around seeded random iterates, the MOSFET banks stamped either in
+    one fused pass per iteration or one bank at a time.  Returns per
+    variant ``(builder, state, matrices, rhs vectors, limited flags)``."""
+    rng = np.random.default_rng(1995)
+    variants = []
+    for number, circuit in enumerate(_mosfet_variants()):
+        builder = MNABuilder(circuit)
+        state = builder.new_state("tran")
+        state.x = rng.uniform(-1.0, 5.0, builder.size)
+        state.dt = 1e-8
+        state.integ_c0 = 2.0 / state.dt
+        state.integ_c1 = 1.0
+        # One variant with its own gmin: the fused pass must give each
+        # slice its variant's value.
+        state.gmin = 1e-9 if number == 1 else state.gmin
+        builder.init_state(state)
+        builder.assemble_constant(state)
+        variants.append((builder, state, [], [], []))
+    for _ in range(2):
+        systems = [builder.iteration_system(state)
+                   for builder, state, *_ in variants]
+        banks = [builder.mosfet_bank for builder, *_ in variants]
+        states = [state for _, state, *_ in variants]
+        if fuse:
+            MosfetBank.fuse(banks).stamp_iteration(systems, states)
+        else:
+            for bank, system, state in zip(banks, systems, states):
+                bank.stamp_iteration((system,), (state,))
+        for (builder, state, matrices, rhs, limited), system in zip(
+                variants, systems):
+            matrices.append(system.matrix.copy())
+            rhs.append(system.rhs.copy())
+            limited.append(state.limited)
+            state.x = state.x + rng.uniform(-0.5, 0.5, builder.size)
+    return variants
+
+
+class TestFusedEvaluation:
+
+    def test_fused_pass_equals_separate_stamps_bit_for_bit(self):
+        """Matrix, rhs, limiting flag, limiting history and linearisation
+        of every variant are identical, bit for bit, whether its bank is
+        stamped alone or fused with banks of other sizes and parameters."""
+        separate = _stamped_variants(fuse=False)
+        fused = _stamped_variants(fuse=True)
+        sizes = {builder.size for builder, *_ in fused}
+        assert len(sizes) >= 3  # the open adds an unknown; the inverter
+        for (b_sep, _, m_sep, r_sep, l_sep), (b_fus, _, m_fus, r_fus,
+                                              l_fus) in zip(separate, fused):
+            for a, b in zip(m_sep + r_sep, m_fus + r_fus):
+                assert np.array_equal(a, b)
+            assert l_sep == l_fus
+            bank_sep, bank_fus = b_sep.mosfet_bank, b_fus.mosfet_bank
+            assert np.array_equal(bank_sep.vgs_last, bank_fus.vgs_last)
+            assert np.array_equal(bank_sep.vds_last, bank_fus.vds_last)
+            for dev_sep, dev_fus in zip(b_sep.devices, b_fus.devices):
+                if isinstance(dev_sep, Mosfet):
+                    assert (dev_sep.operating_point
+                            == dev_fus.operating_point)
+        assert any(any(flags) for *_, flags in fused)
+
+    def test_serial_rounds_equal_solves_and_batches_fuse(self):
+        """``newton_rounds`` is one per solve serially; a batch fuses the
+        device evaluation of its variants into fewer rounds."""
+        circuit = build_cmos_inverter(input_voltage=0.0)
+        faults = FaultList("inverter faults")
+        faults.add(OpenFault(1, device="MN", terminal="drain"))
+        faults.add(BridgingFault(2, net_a="out", net_b="vdd"))
+        faults.add(ParametricFault(3, device="MP", parameter="w",
+                                   relative_change=1.0))
+        settings = _settings(tstop=1e-4, tstep=1e-6,
+                             tolerances=ToleranceSettings(1.0, 4e-6))
+        serial, batched = _assert_identical(circuit, faults, settings, 3)
+        solves = serial.telemetry()["newton_iterations_total"]
+        assert serial.telemetry()["newton_rounds"] == solves
+        nominal = serial.nominal_stats["newton_iterations"]
+        fault_solves = solves - nominal
+        rounds = batched.telemetry()["newton_rounds"] - nominal
+        longest = max(r.newton_iterations for r in batched.records)
+        assert longest <= rounds < fault_solves
+
+    def test_vco_early_abort_batch_matches_fig5_reference(self,
+                                                          vco_layout_pair):
+        """Fused rounds with early abort reproduce the committed Fig. 5
+        reference: verdict, detection time and every kernel counter."""
+        reference = json.loads((pathlib.Path(__file__).parents[1]
+                                / "perfbench" / "references"
+                                / "fig5-batched.json").read_text())
+        circuit, layout = vco_layout_pair
+        faults = CATFlow(circuit, layout).extract_faults() \
+            .realistic_faults.top(8)
+        settings = CampaignSettings(
+            tstop=4e-6, tstep=1e-8, use_ic=True,
+            observation_nodes=(OUTPUT_NODE,),
+            tolerances=ToleranceSettings(amplitude=2.0, time=0.2e-6))
+        result = _run(circuit, faults, settings,
+                      BatchedExecutor(batch_width=8, early_abort=True))
+        assert result.early_aborted > 0
+        for record in result.records:
+            expected = reference["faults"][str(record.fault.fault_id)]
+            assert (record.status, record.detection_time,
+                    record.newton_iterations, record.steps_accepted,
+                    record.steps_rejected) == (
+                expected["status"], expected["detection_time"],
+                expected["newton_iterations"], expected["steps_accepted"],
+                expected["steps_rejected"])
+        assert result.nominal_stats["newton_iterations"] == \
+            reference["nominal"]["newton_iterations"]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_finished_run_is_freed_without_the_cycle_collector(self,
+                                                               batched):
+        """Devices reference their bank, banks reference no device: a
+        finished run's builder, banks and circuit go as soon as the last
+        reference is dropped, with the cycle collector off."""
+        circuits = _mosfet_variants()[:2]
+        kwargs = dict(tstop=1e-7, tstep=1e-8, use_ic=True)
+        gc.collect()
+        gc.disable()
+        try:
+            if batched:
+                batch = BatchedTransient([TransientAnalysis(c, **kwargs)
+                                          for c in circuits]).run()
+                runs = list(batch.runs)
+                del batch
+            else:
+                runs = [TransientAnalysis(circuits[0], **kwargs).start()]
+                while runs[0].advance():
+                    pass
+            results = [run.finish() for run in runs]
+            for run in runs:
+                assert run.builder.mosfet_bank.op is not None
+            refs = [weakref.ref(obj) for run in runs
+                    for obj in (run, run.builder, run.builder.mosfet_bank,
+                                run.builder.cap_bank, run.state)]
+            refs += [weakref.ref(circuit) for circuit in circuits]
+            del runs, circuits, run
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert results[0].stats["newton_iterations"] > 0
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -121,17 +121,15 @@ class TestFastPathAssembly:
         state.dt = 1e-8
         state.integ_c0 = 2.0 / state.dt
         state.integ_c1 = 1.0
-        for device in builder.devices:
-            device.init_state(state)
+        builder.init_state(state)
 
         legacy = builder.build(state)
         legacy_matrix = legacy.matrix.copy()
         legacy_rhs = legacy.rhs.copy()
 
-        # Re-run the device limiting history so both paths linearise around
-        # the same point.
-        for device in builder.devices:
-            device.init_state(state)
+        # Reset the limiting history so both paths linearise around the
+        # same point.
+        builder.init_state(state)
         builder.assemble_constant(state)
         fast = builder.build_iteration(state)
 
@@ -145,8 +143,7 @@ class TestFastPathAssembly:
         legacy = builder.build(state)
         legacy_matrix = legacy.matrix.copy()
         legacy_rhs = legacy.rhs.copy()
-        for device in builder.devices:
-            device.prepare(builder.circuit)  # reset limiting history
+        builder.init_state(state)  # reset limiting history
         builder.assemble_constant(state)
         fast = builder.build_iteration(state)
         np.testing.assert_allclose(fast.matrix, legacy_matrix, rtol=1e-12)
